@@ -479,13 +479,6 @@ def backward(net: Network, batch: Batch, loss_kind: str) -> list[np.ndarray]:
     return loss_and_grads(net, batch, loss_kind)[1]
 
 
-def output_gradients(net: Network, inputs: np.ndarray,
-                     grad_out: np.ndarray) -> list[np.ndarray]:
-    """Backpropagate an arbitrary output gradient (custom losses)."""
-    _, ctxs = _forward_with_ctx(net, inputs)
-    return _backprop(net, ctxs, grad_out)
-
-
 def sgd_step(net: Network, grads: Sequence[np.ndarray], lr: float,
              mask=None) -> Network:
     """w <- w - lr*g. Positions zeroed by the mask stay exactly 0.0."""
@@ -612,13 +605,14 @@ def _read_shape(buf: memoryview, off: int):
     return tuple(dims), off + 4 * ndim
 
 
-def _write_hyper(out: bytearray, layer: Layer):
-    if layer.kind == "conv2d":
-        out += struct.pack("<BB", layer.stride, 1 if layer.padding == "same" else 0)
-    elif layer.kind == "leaky_relu":
-        out += struct.pack("<d", layer.slope)
-    elif layer.kind == "max_pool":
-        out += struct.pack("<BB", layer.pool, layer.stride)
+def _write_hyper(out: bytearray, kind: str, hyper: dict):
+    if kind == "conv2d":
+        out += struct.pack("<BB", hyper["stride"],
+                           1 if hyper["padding"] == "same" else 0)
+    elif kind == "leaky_relu":
+        out += struct.pack("<d", hyper["slope"])
+    elif kind == "max_pool":
+        out += struct.pack("<BB", hyper["pool"], hyper["stride"])
 
 
 def _read_hyper(kind: str, buf: memoryview, off: int):
@@ -642,7 +636,7 @@ def serialize_network(net: Network) -> bytes:
     out += struct.pack("<H", len(net.layers))
     for layer in net.layers:
         out += struct.pack("<B", _KIND_TAGS[layer.kind])
-        _write_hyper(out, layer)
+        _write_hyper(out, layer.kind, layer.hyper())
         tensors = layer.param_tensors()
         out += struct.pack("<B", len(tensors))
         for t in tensors:

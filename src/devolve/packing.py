@@ -362,7 +362,7 @@ class PackedModel:
         out += struct.pack("<H", len(self.layers))
         for pl in self.layers:
             out += struct.pack("<B", nn._KIND_TAGS[pl.kind])
-            _write_hyper_dict(out, pl.kind, pl.hyper)
+            nn._write_hyper(out, pl.kind, pl.hyper)
             out += struct.pack("<B", len(pl.shapes))
             for shape in pl.shapes:
                 nn._write_shape(out, shape)
@@ -438,16 +438,6 @@ class PackedModel:
         if off != len(data) - 4:
             raise PackedFormatError(f"{len(data) - 4 - off} stray bytes before CRC")
         return cls(tuple(input_shape), layers)
-
-
-def _write_hyper_dict(out: bytearray, kind: str, hyper: dict):
-    if kind == "conv2d":
-        out += struct.pack("<BB", hyper["stride"],
-                           1 if hyper["padding"] == "same" else 0)
-    elif kind == "leaky_relu":
-        out += struct.pack("<d", hyper["slope"])
-    elif kind == "max_pool":
-        out += struct.pack("<BB", hyper["pool"], hyper["stride"])
 
 
 def pack_model(qmodel: QuantizedModel) -> PackedModel:

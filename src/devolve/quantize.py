@@ -9,9 +9,11 @@ Three level-placement schemes map weights to b-bit codes:
 * optimal_density: levels placed to minimize the expected absolute rounding
   error under the weight density, so spacing tightens where weights are dense
   and stretches across sparse regions. At each interior level the optimum
-  balances the probability mass of the two adjacent half-regions; the solver
-  is a damped Newton pass on that system from several starting placements,
-  keeping the lowest-error solution.
+  balances the probability mass of the two adjacent half-regions. The solver
+  has two steps. A dynamic program over cut points finds the best table on a
+  fixed grid at equal quantiles of sqrt(density), which lands in the basin of
+  the global optimum. A Levenberg-Marquardt-damped Newton polish on the
+  balance system then settles the levels off the grid.
 
 Rounding is nearest (ties to the lower level) or stochastic (round up with
 probability proportional to the distance from the lower level; unbiased in
@@ -195,204 +197,136 @@ def mass_balance(levels: np.ndarray, density: Density) -> np.ndarray:
     return density.mass(mids[:-1], inner) - density.mass(inner, mids[1:])
 
 
-def _quantile_levels(density: Density, n_levels: int, power: float = 1.0) -> np.ndarray:
-    """Levels at equal-quantile positions of density**power (Newton starting
-    points; power 0.5 approximates the asymptotically optimal placement)."""
+# Worst accepted half-mass imbalance, as a fraction of the mean region mass.
+# The polish normally ends near machine precision, histograms included; the
+# gate only catches a polish that stalled.
+BALANCE_TOL_RATIO = 1e-4
+
+# Cells in the dynamic-programming seed's grid (at least three per level).
+SEED_GRID_CELLS = 768
+
+
+def _sqrt_quantiles(density: Density, n_points: int) -> np.ndarray:
+    """Points at equal quantiles of sqrt(density), the asymptotically optimal
+    level density for absolute error; endpoints pinned to the support."""
     nodes = density._nodes
-    heights = density._node_heights ** power
+    heights = np.sqrt(density._node_heights)
     seg = np.diff(nodes) * (heights[:-1] + heights[1:]) / 2.0
     cdf = np.concatenate(([0.0], np.cumsum(seg)))
     cdf /= cdf[-1]
-    targets = np.linspace(0.0, 1.0, n_levels)
-    levels = np.interp(targets, cdf, nodes)
+    points = np.interp(np.linspace(0.0, 1.0, n_points), cdf, nodes)
     lo, hi = density.support
-    levels[0], levels[-1] = lo, hi
-    # nudge any coincident interior levels apart
-    for i in range(1, levels.size):
-        if levels[i] <= levels[i - 1]:
-            levels[i] = levels[i - 1] + 1e-9 * (hi - lo)
-    return levels
+    points[0], points[-1] = lo, hi
+    # nudge any coincident points apart
+    for i in range(1, points.size):
+        if points[i] <= points[i - 1]:
+            points[i] = points[i - 1] + 1e-9 * (hi - lo)
+    return points
 
 
-def _newton_balance(levels: np.ndarray, density: Density,
-                    iters: int = 200) -> tuple[np.ndarray, float]:
-    """Damped Newton on the half-mass balance system over all interior levels
-    (tridiagonal Jacobian). Returns (levels, max residual)."""
-    lo, hi = density.support
-    span = hi - lo
+def _dp_seed(density: Density, n_levels: int) -> np.ndarray:
+    """Globally optimal table over a fixed grid: a min-plus shortest path of
+    n-1 gaps from the first grid point to the last (optimal 1-D quantization
+    by dynamic programming; Wu 1991, Wang & Song 2011). Each grid cell's mass
+    is lumped at its centre, and a gap costs the rounding error of the cells
+    it spans, so the seed lies in the basin of the global optimum."""
+    cells = max(SEED_GRID_CELLS, 3 * n_levels)
+    grid = _sqrt_quantiles(density, cells + 1)
+    centres = (grid[:-1] + grid[1:]) / 2.0
+    mass = np.diff(density.mass_to(grid))
+    cum_m = np.concatenate(([0.0], np.cumsum(mass)))
+    cum_mc = np.concatenate(([0.0], np.cumsum(mass * centres)))
+    # cost[i, j]: cells i..s-1 round down to grid[i], cells s..j-1 up to grid[j]
+    cols = np.arange(cells + 1)
+    i, j = cols[:, None], cols[None, :]
+    s = np.searchsorted(centres, (grid[i] + grid[j]) / 2.0, side="right")
+    cost = ((cum_mc[s] - cum_mc[i]) - grid[i] * (cum_m[s] - cum_m[i])
+            + grid[j] * (cum_m[j] - cum_m[s]) - (cum_mc[j] - cum_mc[s]))
+    cost[j <= i] = np.inf
+    reach = cost[0]  # least error reaching each grid point with one gap
+    back = np.empty((n_levels - 2, cells + 1), dtype=np.intp)
+    for k in range(n_levels - 2):
+        total = reach[:, None] + cost
+        back[k] = np.argmin(total, axis=0)
+        reach = total[back[k], cols]
+    path = [cells]
+    for k in range(n_levels - 3, -1, -1):
+        path.append(back[k, path[-1]])
+    return grid[[0] + path[::-1]]
+
+
+def _thomas(off: np.ndarray, diag: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve the symmetric tridiagonal system with diagonal diag and
+    off-diagonal off by one forward and one backward sweep."""
+    off = [0.0] + off.tolist() + [0.0]  # row k holds off[k], diag[k], off[k+1]
+    c, d = [], []
+    c_prev = d_prev = 0.0
+    for k, (b, r) in enumerate(zip(diag.tolist(), rhs.tolist())):
+        pivot = b - off[k] * c_prev
+        c_prev = off[k + 1] / pivot
+        d_prev = (r - off[k] * d_prev) / pivot
+        c.append(c_prev)
+        d.append(d_prev)
+    for k in range(len(d) - 2, -1, -1):
+        d[k] -= c[k] * d[k + 1]
+    return np.array(d)
+
+
+def _polish(levels: np.ndarray, density: Density) -> np.ndarray:
+    """Levenberg-Marquardt-damped Newton on mass_balance, which is the
+    gradient of the error integral; its tridiagonal Jacobian is the Hessian,
+    indefinite near density valleys, hence the damping. A step is kept when
+    it lowers the error, or holds it within 1e-13 relative while shrinking
+    max|F| (near the optimum the error is flat to rounding and only the
+    residual still resolves the last digits)."""
     x = levels.copy()
-    n = x.size
-
-    def norm(v):
-        return float(np.abs(v).max()) if v.size else 0.0
-
-    best = x.copy()
-    best_norm = norm(mass_balance(x, density))
-    for _ in range(iters):
-        F = mass_balance(x, density)
-        fn = norm(F)
-        if fn < best_norm:
-            best_norm = fn
-            best = x.copy()
-        if fn <= 1e-16:
-            break
-        mids = (x[:-1] + x[1:]) / 2.0
-        p_mid = density.pdf_array(mids)
-        p_lvl = density.pdf_array(x)
-        m = n - 2
-        J = np.zeros((m, m))
-        for i in range(m):  # unknown x[i+1]
-            if i > 0:
-                J[i, i - 1] = -p_mid[i] / 2.0
-            J[i, i] = 2.0 * p_lvl[i + 1] - p_mid[i] / 2.0 - p_mid[i + 1] / 2.0
-            if i < m - 1:
-                J[i, i + 1] = -p_mid[i + 1] / 2.0
-        try:
-            step = np.linalg.solve(J, -F)
-        except np.linalg.LinAlgError:
-            break
-        alpha = 1.0
-        improved = False
-        for _ in range(50):
+    F = mass_balance(x, density)
+    res = float(np.abs(F).max())
+    err = quantization_error(x, density)
+    damping = 1e-3
+    while res > 1e-16 and damping <= 1e6:
+        p_mid = density.pdf_array((x[:-1] + x[1:]) / 2.0)
+        diag = 2.0 * density.pdf_array(x[1:-1]) - (p_mid[:-1] + p_mid[1:]) / 2.0
+        off = -p_mid[1:-1] / 2.0
+        scale = float(np.abs(diag).max())
+        while damping <= 1e6:
             trial = x.copy()
-            trial[1:-1] = x[1:-1] + alpha * step
-            if (np.diff(trial) > 1e-15 * span).all():
-                if norm(mass_balance(trial, density)) < fn:
-                    x = trial
-                    improved = True
+            try:
+                trial[1:-1] += _thomas(off, diag + damping * scale, -F)
+            except ZeroDivisionError:  # singular damped Jacobian: damp harder
+                trial[1:-1] = np.nan
+            if (np.diff(trial) > 0).all():
+                t_err = quantization_error(trial, density)
+                t_F = mass_balance(trial, density)
+                t_res = float(np.abs(t_F).max())
+                if t_err < err or (t_err <= err * (1.0 + 1e-13) and t_res < res):
+                    x, F, res, err = trial, t_F, t_res, t_err
+                    damping /= 10.0
                     break
-            alpha /= 2.0
-        if not improved:
-            break
-    fn = norm(mass_balance(x, density))
-    if fn < best_norm:
-        best_norm = fn
-        best = x.copy()
-    return best, best_norm
-
-
-def _median_pass(levels: np.ndarray, density: Density,
-                 iters: int = 3000) -> np.ndarray:
-    """Alternate rounding boundaries (gap midpoints) and per-region medians.
-    Each half-step lowers the error integral, so progress is monotone; the
-    fixed point is exactly the half-mass balance. Keeps levels strictly
-    ordered because a region's median lies strictly inside it."""
-    lo, hi = density.support
-    span = hi - lo
-    x = levels.copy()
-    for _ in range(iters):
-        mids = (x[:-1] + x[1:]) / 2.0
-        cuts = density.mass_to(mids)
-        targets = (cuts[:-1] + cuts[1:]) / 2.0
-        new_inner = density.inverse_mass(targets)
-        move = float(np.abs(new_inner - x[1:-1]).max())
-        x[1:-1] = new_inner
-        if move <= 1e-16 * span:
-            break
+            damping *= 10.0
     return x
-
-
-# Worst accepted half-mass imbalance, as a fraction of the mean region mass.
-# Smooth tables converge to machine precision; histograms with as many kinks
-# as levels are semismooth and settle around 1e-5, where the residual's
-# effect on the error integral is far below any quantization effect.
-BALANCE_TOL_RATIO = 1e-4
-
-
-def _refine(init: np.ndarray, density: Density, gate: float):
-    """Chunked median passes with opportunistic Newton polish; returns the
-    best (levels, residual) seen."""
-    x = init.copy()
-    best = x
-    best_res = float(np.abs(mass_balance(x, density)).max())
-    polish_every_chunk = x.size <= 32  # Newton is nearly free on coarse tables
-    for _ in range(30):
-        before = best_res
-        x = _median_pass(x, density, iters=2000)
-        res = float(np.abs(mass_balance(x, density)).max())
-        if res < best_res:
-            best, best_res = x.copy(), res
-        stalled = best_res > 0.5 * before
-        if polish_every_chunk or stalled:
-            nx, nres = _newton_balance(x, density, iters=40)
-            if nres < best_res and (np.diff(nx) > 0).all():
-                best, best_res = nx, nres
-                x = nx.copy()
-        if best_res <= 0.01 * gate:
-            break
-        if best_res <= gate and best_res > 0.5 * before:
-            break  # inside the gate and no longer improving
-    return best, best_res
 
 
 def solve_levels(density: Density, n_levels: int) -> np.ndarray:
     """n strictly increasing levels from w_min to w_max minimizing the
     expected absolute rounding error: at every interior level the adjacent
-    half-region masses balance. Median passes from several starting
-    placements (uniform, equal-mass, sqrt-density), polished by Newton; the
-    lowest-error converged solution wins, so the result never loses to plain
-    uniform spacing."""
+    half-region masses balance. A grid dynamic program picks the basin of the
+    global optimum and a damped Newton polish settles the balance; a table
+    whose residual misses BALANCE_TOL_RATIO raises LevelSolverError."""
     if n_levels < 2:
         raise ValueError("need at least 2 levels")
     lo, hi = density.support
     if n_levels == 2:
         return np.array([lo, hi])
+    levels = _polish(_dp_seed(density, n_levels), density)
     gate = BALANCE_TOL_RATIO / (n_levels - 1)
-    quantiles = _quantile_levels(density, n_levels)
-    inits = [
-        np.linspace(lo, hi, n_levels),
-        quantiles,
-        _mirror(quantiles, lo, hi),  # breaks ties on symmetric densities
-    ]
-    if n_levels <= 32:  # coarse tables have distinct basins worth probing
-        inits.append(_quantile_levels(density, n_levels, power=0.5))
-    if n_levels <= 4:
-        # interior placements are few enough to scan outright; the best grid
-        # configuration seeds Newton inside the global basin
-        inits.append(_prescan(density, n_levels))
-    best = None
-    best_err = math.inf
-    least_res = math.inf
-    for init in inits:
-        levels, res = _refine(init, density, gate)
-        least_res = min(least_res, res)
-        if res <= gate and (np.diff(levels) > 0).all():
-            err = quantization_error(levels, density)
-            if err < best_err:
-                best_err = err
-                best = levels
-    if best is None:
+    res = float(np.abs(mass_balance(levels, density)).max())
+    if not res <= gate:
         raise LevelSolverError(
-            f"half-mass balance did not converge (best residual {least_res:.3e}, "
-            f"tolerance {gate:.3e})", residual=least_res,
+            f"half-mass balance did not converge (residual {res:.3e}, "
+            f"tolerance {gate:.3e})", residual=res,
         )
-    return best
-
-
-def _mirror(levels: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    return (lo + hi) - levels[::-1]
-
-
-def _prescan(density: Density, n_levels: int, grid_points: int = 48) -> np.ndarray:
-    """Exhaustive coarse placement for 3 or 4 levels."""
-    lo, hi = density.support
-    grid = np.linspace(lo, hi, grid_points + 2)[1:-1]
-    best = None
-    best_err = math.inf
-    if n_levels == 3:
-        for g in grid:
-            err = quantization_error(np.array([lo, g, hi]), density)
-            if err < best_err:
-                best_err = err
-                best = np.array([lo, g, hi])
-    else:
-        for i, g1 in enumerate(grid[:-1]):
-            for g2 in grid[i + 1:]:
-                err = quantization_error(np.array([lo, g1, g2, hi]), density)
-                if err < best_err:
-                    best_err = err
-                    best = np.array([lo, g1, g2, hi])
-    return best
+    return levels
 
 
 def optimal_levels(density: Density, bits: int) -> np.ndarray:

@@ -1,8 +1,9 @@
 """Independent oracles the tests check production code against.
 
 Nothing here may call the code path it validates: gradients come from central
-finite differences, and quantizer optima come from exhaustive grid search with
-closed-form integrals over the piecewise-linear density.
+finite differences, and quantizer optima come from exhaustive grid search or a
+grid dynamic program with closed-form integrals over the piecewise-linear
+density.
 """
 
 import numpy as np
@@ -134,3 +135,19 @@ def brute_force_three_levels(density, pitch=1e-3):
            + ex.gap_cost(grid, np.full(grid.size, hi)))
     j = int(np.argmin(err))
     return float(grid[j]), float(err[j])
+
+
+def grid_dp_error(density, n_levels, points=1024):
+    """Least rounding-error integral over tables of n_levels levels on a
+    uniform grid of `points` points spanning the support, endpoints pinned:
+    a min-plus dynamic program over exact gap costs. Grid tables are feasible,
+    so the unrestricted optimum is never above this value."""
+    lo, hi = density.support
+    ex = ExactDensityIntegrals(density)
+    grid = np.linspace(lo, hi, points)
+    a, b = grid[:, None], grid[None, :]
+    cost = np.where(b > a, ex.gap_cost(a, b), np.inf)
+    reach = cost[0]  # least error reaching each grid point with one gap
+    for _ in range(n_levels - 2):
+        reach = np.min(reach[:, None] + cost, axis=0)
+    return float(reach[-1])

@@ -12,7 +12,7 @@ from devolve.quantize import (Density, QuantizationSpec, build_spec,
 
 from helpers import bimodal_density, sampled_density, tent_density
 from oracles import (ExactDensityIntegrals, brute_force_three_levels,
-                     brute_force_two_bit)
+                     brute_force_two_bit, grid_dp_error)
 
 
 class TestUniformLevels:
@@ -122,6 +122,17 @@ class TestOptimalLevels:
         for bits in (2, 4, 8):
             lv = optimal_levels(sampled_density(2), bits)
             assert (np.diff(lv) > 0).all()
+
+    def test_eight_bit_not_above_grid_dp_reference(self):
+        for seed in range(5):
+            d = sampled_density(seed)
+            err = quantization_error(optimal_levels(d, 8), d)
+            ref = grid_dp_error(d, 256)
+            assert err <= ref, (seed, err, ref)
+
+    def test_repeated_solve_bit_identical(self):
+        d = sampled_density(4)
+        np.testing.assert_array_equal(optimal_levels(d, 8), optimal_levels(d, 8))
 
 
 class TestQuantizationError:
