@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Any, Optional
 
@@ -158,22 +159,31 @@ def _require(config: dict, *path: str):
 # Shared pieces
 # ---------------------------------------------------------------------------
 
-def _build_dataset(config: dict) -> datasets.ProbeSet:
+def _build_dataset(config: dict, input_shape) -> datasets.ProbeSet:
+    """The configured dataset with its inputs shaped to `input_shape`, the
+    network's, so IDX images [n,28,28] fit both [784] and [28,28,1]."""
     data = _require(config, "data")
     if "synthetic" in data:
         s = data["synthetic"]
-        return datasets.synthetic_dataset(
+        dataset = datasets.synthetic_dataset(
             s.get("kind", "blobs"), _require(config, "data", "synthetic", "n"),
             s.get("classes", 2), s.get("seed", config["master_seed"]),
             feature_dim=s.get("feature_dim", 2),
             separation=s.get("separation", 5.0),
         )
-    if "idx" in data:
-        return datasets.load_idx_dataset(
+    elif "idx" in data:
+        dataset = datasets.load_idx_dataset(
             _require(config, "data", "idx", "images"),
             _require(config, "data", "idx", "labels"),
         )
-    raise ConfigError("data section needs either synthetic or idx")
+    else:
+        raise ConfigError("data section needs either synthetic or idx")
+    shape = dataset.inputs.shape[1:]
+    if math.prod(shape) != math.prod(input_shape):
+        raise ConfigError(f"dataset inputs of shape {list(shape)} do not fit "
+                          f"the network input shape {list(input_shape)}")
+    return datasets.ProbeSet(dataset.inputs.reshape(-1, *input_shape), dataset.labels,
+                             dataset.provenance)
 
 
 def _build_probe(config: dict, dataset: datasets.ProbeSet) -> datasets.ProbeSet:
@@ -229,7 +239,7 @@ def cmd_train(config: dict) -> int:
     net = nn.build_network(arch, seed)
     if net.layers and net.layers[-1].kind != "softmax":
         raise ConfigError("cross-entropy training expects a softmax output layer")
-    dataset = _build_dataset(config)
+    dataset = _build_dataset(config, net.input_shape)
     train_cfg = config.get("train", {})
     epochs = train_cfg.get("epochs", 0)
     lr = train_cfg.get("lr", 0.1)
@@ -254,7 +264,7 @@ def cmd_train(config: dict) -> int:
 
 def cmd_sparsify(config: dict) -> int:
     teacher = nn.load_network(_require(config, "model", "path"))
-    dataset = _build_dataset(config)
+    dataset = _build_dataset(config, teacher.input_shape)
     probe = _build_probe(config, dataset)
     cfg = _evolution_config(config)
     spec = _divergence_spec(config, int(np.prod(teacher.output_shape)))
@@ -276,7 +286,7 @@ def cmd_quantize(config: dict) -> int:
     student = nn.load_network(_require(config, "output", "student"))
     mask = sparsity.load_mask(_require(config, "output", "mask"))
     qcfg = config.get("quantization", {})
-    dataset = _build_dataset(config)
+    dataset = _build_dataset(config, student.input_shape)
     probe = _build_probe(config, dataset)
     teacher_outputs = None
     div_spec = None
@@ -358,7 +368,7 @@ def cmd_unpack(config: dict) -> int:
 def cmd_eval(config: dict) -> int:
     model_path = _require(config, "eval", "model")
     net = nn.load_network(model_path)
-    dataset = _build_dataset(config)
+    dataset = _build_dataset(config, net.input_shape)
     if dataset.labels is not None:
         print(f"accuracy {nn.accuracy(net, dataset):.6f}")
     teacher_path = config.get("eval", {}).get("teacher")

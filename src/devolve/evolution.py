@@ -180,20 +180,21 @@ def propose_candidates(net: Network, mask: SparsityMask, layer: int,
 def evaluate_candidate(student: Network, mask: SparsityMask, cand: CandidateSet,
                        teacher_outputs: np.ndarray, probe,
                        spec: DivergenceSpec) -> float:
-    """Divergence with mask plus candidate tentatively zeroed. The student is
-    never modified: touched layers get fresh tensors on a shallow copy."""
-    scratch = apply_mask(student, mask)
-    layer_obj = scratch.layers[cand.layer]
-    tensors = [t.reshape(-1).copy() for t in layer_obj.param_tensors()]
-    zero = np.zeros(sum(t.size for t in tensors), dtype=bool)
+    """Divergence with the candidate's layer zeroed at mask plus candidate.
+    Every other layer is used as it is, so the student must already carry
+    the mask there (evaluate_trials and run keep it masked). The student is
+    never modified: the touched layer gets fresh tensors on a shallow copy."""
+    layer_obj = student.layers[cand.layer]
+    zero = mask.layer_bits(cand.layer).copy()
     zero[cand.indices] = True
     off = 0
     new = []
-    for t, orig in zip(tensors, layer_obj.param_tensors()):
+    for orig in layer_obj.param_tensors():
+        t = orig.reshape(-1).copy()
         t[zero[off:off + t.size]] = 0.0
         new.append(t.reshape(orig.shape))
         off += t.size
-    scratch = scratch.replace_layer(cand.layer, layer_obj.with_params(new))
+    scratch = student.replace_layer(cand.layer, layer_obj.with_params(new))
     inputs = probe.inputs if hasattr(probe, "inputs") else probe
     out = nn.forward(scratch, inputs)
     return divergence(out, teacher_outputs, spec)
@@ -204,16 +205,28 @@ def evaluate_trials(student: Network, mask: SparsityMask,
                     teacher_outputs: np.ndarray, probe, spec: DivergenceSpec,
                     workers: int = 1) -> np.ndarray:
     """Divergence per candidate; parallel execution is bit-identical to
-    sequential because trials are independent and results keep trial order."""
+    sequential because trials are independent and results keep trial order.
+
+    The mask is applied once, and the layers in front of the first candidate
+    layer run once on the probe: every trial evaluates only the tail of the
+    network from that layer on, with its candidate re-indexed to the tail."""
+    masked = apply_mask(student, mask)
+    front = min((c.layer for c in candidates), default=0)
+    inputs = probe.inputs if hasattr(probe, "inputs") else probe
+    acts = nn.forward(Network(masked.layers[:front], masked.input_shape), inputs)
+    tail = Network(masked.layers[front:], acts.shape[1:])
+    tail_mask = SparsityMask({i - front: b for i, b in mask.bits.items() if i >= front},
+                             {i - front: s for i, s in mask.splits.items() if i >= front})
+    tail_cands = [CandidateSet(c.layer - front, c.indices) for c in candidates]
+
+    def trial(cand):
+        return evaluate_candidate(tail, tail_mask, cand, teacher_outputs, acts, spec)
+
     if workers <= 1 or len(candidates) < 2:
-        divs = [evaluate_candidate(student, mask, c, teacher_outputs, probe, spec)
-                for c in candidates]
+        divs = [trial(c) for c in tail_cands]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            divs = list(pool.map(
-                lambda c: evaluate_candidate(student, mask, c, teacher_outputs,
-                                             probe, spec),
-                candidates))
+            divs = list(pool.map(trial, tail_cands))
     return np.asarray(divs, dtype=np.float64)
 
 

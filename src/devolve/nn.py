@@ -22,6 +22,12 @@ FORMAT_VERSION = 1
 
 LOSS_KINDS = ("mse", "cross_entropy")
 
+# Rows of the im2col matrix built at a time (one row per output pixel). A
+# Conv2D builds its patch matrix over batch slices of at most this many rows,
+# so its peak memory is bounded by the input and output arrays rather than by
+# kh*kw copies of the input.
+IM2COL_ROWS = 4096
+
 
 class ShapeError(ValueError):
     """Raised when tensor shapes do not compose through the network."""
@@ -107,6 +113,12 @@ class Dense(Layer):
         return grad_out @ self.weights.T, [gw, gb]
 
 
+def _batch_slices(n: int, rows_per_item: int) -> list[tuple[int, int]]:
+    """[lo, hi) batch ranges of at most IM2COL_ROWS rows (one item at least)."""
+    step = max(1, IM2COL_ROWS // rows_per_item)
+    return [(lo, min(lo + step, n)) for lo in range(0, n, step)]
+
+
 class Conv2D(Layer):
     """2-D convolution, NHWC layout, kernel [kh, kw, cin, cout]."""
 
@@ -167,35 +179,52 @@ class Conv2D(Layer):
         oh, ow, _, _ = self._geometry(in_shape[0], in_shape[1])
         return (oh, ow, self.kernel.shape[3])
 
+    def _cols(self, xp, oh, ow):
+        """im2col: one row per output pixel, its patch in (kh, kw, cin) order."""
+        kh, kw, cin = self.kernel.shape[:3]
+        s = self.stride
+        win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(1, 2))
+        win = win[:, :s * (oh - 1) + 1:s, :s * (ow - 1) + 1:s]
+        return win.transpose(0, 1, 2, 4, 5, 3).reshape(-1, kh * kw * cin)
+
     def apply(self, x):
         n, h, w, _ = x.shape
-        kh, kw = self.kernel.shape[:2]
-        s = self.stride
+        cout = self.kernel.shape[3]
         oh, ow, ph, pw = self._geometry(h, w)
         xp = np.pad(x, ((0, 0), (ph // 2, ph - ph // 2), (pw // 2, pw - pw // 2), (0, 0)))
-        y = np.broadcast_to(self.bias, (n, oh, ow, self.kernel.shape[3])).copy()
-        for i in range(kh):
-            for j in range(kw):
-                patch = xp[:, i:i + s * (oh - 1) + 1:s, j:j + s * (ow - 1) + 1:s, :]
-                y += patch @ self.kernel[i, j]
-        return y, (xp, (n, h, w), (oh, ow, ph, pw))
+        k = self.kernel.reshape(-1, cout)
+        y = np.empty((n * oh * ow, cout))
+        # grads reuses the patch matrices only when they are no bigger than y
+        keep = k.shape[0] <= cout
+        kept = []
+        for lo, hi in _batch_slices(n, oh * ow):
+            cols = self._cols(xp[lo:hi], oh, ow)
+            np.matmul(cols, k, out=y[lo * oh * ow:hi * oh * ow])
+            if keep:
+                kept.append(cols)
+        y += self.bias
+        return y.reshape(n, oh, ow, cout), (xp, kept, (n, h, w), (oh, ow, ph, pw))
 
     def grads(self, ctx, grad_out):
-        xp, (n, h, w), (oh, ow, ph, pw) = ctx
-        kh, kw = self.kernel.shape[:2]
+        xp, kept, (n, h, w), (oh, ow, ph, pw) = ctx
+        kh, kw, cin, cout = self.kernel.shape
         s = self.stride
-        gk = np.zeros_like(self.kernel)
+        k = self.kernel.reshape(-1, cout)
+        g = grad_out.reshape(-1, cout)
+        gk = np.zeros_like(k)
         gxp = np.zeros_like(xp)
-        for i in range(kh):
-            for j in range(kw):
-                patch = xp[:, i:i + s * (oh - 1) + 1:s, j:j + s * (ow - 1) + 1:s, :]
-                gk[i, j] = np.tensordot(patch, grad_out, axes=([0, 1, 2], [0, 1, 2]))
-                gxp[:, i:i + s * (oh - 1) + 1:s, j:j + s * (ow - 1) + 1:s, :] += (
-                    grad_out @ self.kernel[i, j].T
-                )
+        for b, (lo, hi) in enumerate(_batch_slices(n, oh * ow)):
+            gs = g[lo * oh * ow:hi * oh * ow]
+            cols = kept[b] if kept else self._cols(xp[lo:hi], oh, ow)
+            gk += cols.T @ gs
+            gcols = (gs @ k.T).reshape(hi - lo, oh, ow, kh, kw, cin)
+            for i in range(kh):
+                for j in range(kw):
+                    gxp[lo:hi, i:i + s * (oh - 1) + 1:s, j:j + s * (ow - 1) + 1:s, :] += (
+                        gcols[:, :, :, i, j, :])
         gb = grad_out.sum(axis=(0, 1, 2))
         gx = gxp[:, ph // 2:ph // 2 + h, pw // 2:pw // 2 + w, :]
-        return gx, [gk, gb]
+        return gx, [gk.reshape(self.kernel.shape), gb]
 
 
 class ReLU(Layer):
@@ -277,6 +306,14 @@ class MaxPool2D(Layer):
         n, h, w, c = x.shape
         p, s = self.pool, self.stride
         oh, ow = self._geometry(h, w)
+        if s == p:
+            # disjoint windows: view the input as (n, oh, p, ow, p, c)
+            taps = x[:, :oh * p, :ow * p].reshape(n, oh, p, ow, p, c)
+            y = taps[:, :, 0, :, 0].copy()
+            for k in range(1, p * p):
+                i, j = divmod(k, p)
+                np.maximum(y, taps[:, :, i, :, j], out=y)
+            return y, (taps, y, x.shape)
         windows = np.stack(
             [x[:, i:i + s * (oh - 1) + 1:s, j:j + s * (ow - 1) + 1:s, :]
              for i in range(p) for j in range(p)],
@@ -287,8 +324,21 @@ class MaxPool2D(Layer):
         return y, (idx, x.shape, (oh, ow))
 
     def grads(self, ctx, grad_out):
-        idx, in_shape, (oh, ow) = ctx
         p, s = self.pool, self.stride
+        if s == p:
+            taps, y, in_shape = ctx
+            oh, ow = y.shape[1:3]
+            gx = np.zeros(in_shape)
+            left = grad_out.copy()
+            for k in range(p * p):
+                i, j = divmod(k, p)
+                # the first maximal tap in i*p + j order takes the gradient,
+                # as argmax picks it on the general path
+                took = (taps[:, :, i, :, j] == y) * left
+                gx[:, i:oh * p:p, j:ow * p:p] = took
+                left -= took
+            return gx, []
+        idx, in_shape, (oh, ow) = ctx
         gx = np.zeros(in_shape)
         for k in range(p * p):
             i, j = divmod(k, p)

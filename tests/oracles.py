@@ -1,9 +1,9 @@
 """Independent oracles the tests check production code against.
 
 Nothing here may call the code path it validates: gradients come from central
-finite differences, and quantizer optima come from exhaustive grid search or a
-grid dynamic program with closed-form integrals over the piecewise-linear
-density.
+finite differences, convolution and pooling from direct loops over output
+pixels, and quantizer optima come from exhaustive grid search or a grid
+dynamic program with closed-form integrals over the piecewise-linear density.
 """
 
 import numpy as np
@@ -47,6 +47,55 @@ def assert_gradients_close(analytic, numeric, rtol=1e-4, atol=1e-8):
         assert not bad.any(), (
             f"gradient mismatch: analytic {a[bad][:4]} vs numeric {n[bad][:4]}"
         )
+
+
+# ---------------------------------------------------------------------------
+# Direct-loop convolution and max pooling (NHWC)
+# ---------------------------------------------------------------------------
+
+def conv2d_direct(x, kernel, bias, stride, padding):
+    """Convolution by a loop over output pixels and kernel taps. "same" pads
+    ceil(h/stride) outputs' worth of zeros, the odd one at the bottom/right."""
+    n, h, w, _ = x.shape
+    kh, kw, _, cout = kernel.shape
+    if padding == "same":
+        oh, ow = -(-h // stride), -(-w // stride)
+        top = max((oh - 1) * stride + kh - h, 0) // 2
+        left = max((ow - 1) * stride + kw - w, 0) // 2
+    else:
+        oh, ow = (h - kh) // stride + 1, (w - kw) // stride + 1
+        top = left = 0
+    y = np.zeros((n, oh, ow, cout))
+    for r in range(oh):
+        for c in range(ow):
+            acc = np.tile(bias, (n, 1))
+            for i in range(kh):
+                for j in range(kw):
+                    row, col = r * stride + i - top, c * stride + j - left
+                    if 0 <= row < h and 0 <= col < w:
+                        acc += x[:, row, col, :] @ kernel[i, j]
+            y[:, r, c, :] = acc
+    return y
+
+
+def max_pool_direct(x, pool, stride, grad_out):
+    """Max pooling by a loop over windows. Returns the pooled values and the
+    input gradient, which sends each output's gradient to the first maximal
+    element of its window in row-major order."""
+    n, h, w, ch = x.shape
+    oh, ow = (h - pool) // stride + 1, (w - pool) // stride + 1
+    y = np.zeros((n, oh, ow, ch))
+    gx = np.zeros(x.shape)
+    for b in range(n):
+        for r in range(oh):
+            for c in range(ow):
+                for k in range(ch):
+                    window = x[b, r * stride:r * stride + pool,
+                               c * stride:c * stride + pool, k]
+                    i, j = divmod(int(np.argmax(window)), pool)
+                    y[b, r, c, k] = window[i, j]
+                    gx[b, r * stride + i, c * stride + j, k] += grad_out[b, r, c, k]
+    return y, gx
 
 
 # ---------------------------------------------------------------------------

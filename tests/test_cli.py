@@ -1,8 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 
-from devolve import nn
+from devolve import datasets, nn, sparsity
 from devolve.cli import ConfigError, apply_overrides, main, validate_config
 
 
@@ -216,3 +217,74 @@ class TestPipeline:
         acc_restored = restored_out.splitlines()[0]
         acc_quantized = quantized_out.splitlines()[0]
         assert acc_restored == acc_quantized
+
+
+CONV_ARCH = {"input_shape": [8, 8, 1], "layers": [
+    {"kind": "conv2d", "filters": 4, "kernel": 3, "padding": "same"},
+    {"kind": "relu"},
+    {"kind": "max_pool", "pool": 2},
+    {"kind": "flatten"},
+    {"kind": "dense", "units": 3},
+    {"kind": "softmax"},
+]}
+
+
+def write_config(tmp_path, cfg):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(cfg))
+    return path
+
+
+class TestConvNets:
+    def test_conv_pipeline(self, tmp_path, capsys):
+        # 64 blob features reshaped to the conv net's [8,8,1] input
+        _, cfg = pipeline_config(tmp_path)
+        cfg["model"]["architecture"] = CONV_ARCH
+        cfg["data"]["synthetic"].update(feature_dim=64, separation=8.0)
+        cfg["de"].update(scope=[0], target_sparsity=0.3)
+        path = write_config(tmp_path, cfg)
+        assert main(["train", "--config", str(path)]) == 0
+        out = capsys.readouterr().out
+        acc = float([l for l in out.splitlines()
+                     if l.startswith("accuracy")][0].split()[1])
+        assert acc > 0.9
+
+        assert main(["sparsify", "--config", str(path)]) == 0
+        assert "status target_reached" in capsys.readouterr().out
+        mask = sparsity.load_mask(cfg["output"]["mask"])
+        assert sparsity.sparsity(mask, 0) >= 0.3
+
+        assert main(["quantize", "--config", str(path)]) == 0
+        assert "lut_count 2" in capsys.readouterr().out
+        assert main(["pack", "--config", str(path)]) == 0
+        assert main(["unpack", "--config", str(path)]) == 0
+        restored = nn.load_network(cfg["output"]["restored"])
+        assert restored.input_shape == (8, 8, 1)
+        capsys.readouterr()
+
+        assert main(["eval", "--config", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "accuracy" in out and "divergence" in out
+
+    def test_idx_images_fit_flat_and_image_inputs(self, tmp_path, capsys):
+        blobs = datasets.synthetic_dataset("blobs", 96, 3, seed=4, feature_dim=64)
+        images = 1.0 / (1.0 + np.exp(-blobs.inputs.reshape(-1, 8, 8)))
+        (tmp_path / "images.idx").write_bytes(datasets.serialize_idx(images))
+        (tmp_path / "labels.idx").write_bytes(datasets.serialize_idx(blobs.labels))
+        _, cfg = pipeline_config(tmp_path)
+        cfg["data"] = {"idx": {"images": str(tmp_path / "images.idx"),
+                               "labels": str(tmp_path / "labels.idx")}}
+        cfg["train"]["epochs"] = 1
+        for arch in (CONV_ARCH, {**cfg["model"]["architecture"], "input_shape": [64]}):
+            cfg["model"]["architecture"] = arch
+            path = write_config(tmp_path, cfg)
+            assert main(["train", "--config", str(path)]) == 0
+            assert main(["eval", "--config", str(path), "--set",
+                         f"eval.model={cfg['output']['model']}"]) == 0
+        capsys.readouterr()
+
+        cfg["model"]["architecture"] = {**cfg["model"]["architecture"], "input_shape": [63]}
+        path = write_config(tmp_path, cfg)
+        assert main(["train", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "[8, 8]" in err and "[63]" in err

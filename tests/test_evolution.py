@@ -10,7 +10,7 @@ from devolve.evolution import (DivergenceSpec, EvolutionConfig,
                                propose_candidates, read_history, retrain, run,
                                select_and_commit, weight_histogram,
                                write_history)
-from devolve.sparsity import CandidateSet, SparsityMask, apply_mask
+from devolve.sparsity import CandidateSet, SparsityMask, apply_mask, merge
 
 from helpers import train_blobs_teacher
 
@@ -26,6 +26,22 @@ def tiny_teacher(seed=0):
 
 def tiny_probe(n=32, seed=1):
     return datasets.synthetic_dataset("blobs", n, 3, seed=seed, feature_dim=6)
+
+
+def tiny_conv_teacher(seed=0):
+    return nn.build_network({"input_shape": [6, 6, 1], "layers": [
+        {"kind": "conv2d", "filters": 3, "kernel": 3},
+        {"kind": "relu"},
+        {"kind": "max_pool", "pool": 2},
+        {"kind": "flatten"},
+        {"kind": "dense", "units": 3},
+        {"kind": "softmax"},
+    ]}, seed)
+
+
+def conv_probe(n=32, seed=1):
+    data = datasets.synthetic_dataset("blobs", n, 3, seed=seed, feature_dim=36)
+    return datasets.ProbeSet(data.inputs.reshape(-1, 6, 6, 1), data.labels)
 
 
 class TestPropose:
@@ -154,6 +170,22 @@ class TestEvaluate:
                                    probe, spec, workers=4)
         assert serial.tobytes() == threaded.tobytes()
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_front_cache_matches_full_forward(self, workers):
+        # candidates on the dense layer behind the conv front; the student
+        # passed in is unmasked, so the mask must be applied here too
+        net = tiny_conv_teacher(1)
+        probe = conv_probe(40)
+        tout = nn.forward(net, probe.inputs)
+        mask = sparsity.random_mask(net, 0.3, seed=5, include_biases=False)
+        cfg = EvolutionConfig(trials_per_cycle=6, step_fraction=0.1, master_seed=2)
+        cands = propose_candidates(net, mask, 4, cfg, 0)
+        spec = DivergenceSpec.whole_output(3)
+        got = evaluate_trials(net, mask, cands, tout, probe, spec, workers)
+        expected = [divergence(nn.forward(apply_mask(net, merge(mask, c)), probe.inputs),
+                               tout, spec) for c in cands]
+        assert got.tobytes() == np.asarray(expected).tobytes()
+
 
 class TestSelectCommit:
     def test_argmin(self):
@@ -257,6 +289,21 @@ class TestRun:
         r2 = run(net, probe, EvolutionConfig(**base, workers=3))
         for a, b in zip(r1.history, r2.history):
             assert a.trial_divergences.tobytes() == b.trial_divergences.tobytes()
+
+    def test_conv_history_bytes_across_workers(self, tmp_path):
+        net = tiny_conv_teacher(3)
+        probe = conv_probe(48)
+        base = dict(trials_per_cycle=6, step_fraction=0.1,
+                    target_sparsity={0: 0.3, 4: 0.4}, retrain_epochs=1,
+                    retrain_lr=0.3, master_seed=5, scope=[0, 4])
+        written = []
+        for workers in (1, 2):
+            res = run(net, probe, EvolutionConfig(**base, workers=workers))
+            assert res.status == "target_reached"
+            path = tmp_path / f"history-{workers}.csv"
+            write_history(res.history, str(path))
+            written.append(path.read_bytes())
+        assert written[0] == written[1]
 
     def test_monotone_sparsity_and_argmin(self):
         net = tiny_teacher(4)

@@ -5,7 +5,8 @@ from hypothesis import given, strategies as st
 from devolve import nn
 from devolve.nn import (Batch, Conv2D, Dense, MaxPool2D, Network, ReLU,
                         ShapeError, Softmax)
-from oracles import assert_gradients_close, numerical_gradients
+from oracles import (assert_gradients_close, conv2d_direct, max_pool_direct,
+                     numerical_gradients)
 
 
 def small_net(seed=0, layers=None, input_shape=(6,)):
@@ -158,6 +159,48 @@ class TestBackward:
         batch = Batch(rng.normal(size=(3, 5, 5, 2)), rng.normal(size=(3, 2)))
         assert_gradients_close(nn.backward(net, batch, "mse"),
                                numerical_gradients(net, batch, "mse"))
+
+
+class TestConvPoolOracle:
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("padding", ["same", "valid"])
+    @pytest.mark.parametrize("cin", [1, 3])
+    def test_conv_matches_direct_loop(self, stride, padding, cin):
+        rng = np.random.default_rng(10 * stride + cin)
+        x = rng.normal(size=(3, 7, 6, cin))
+        kernel = rng.normal(size=(3, 2, cin, 4))
+        bias = rng.normal(size=4)
+        y, _ = Conv2D(kernel, bias, stride, padding).apply(x)
+        np.testing.assert_allclose(y, conv2d_direct(x, kernel, bias, stride, padding),
+                                   rtol=1e-12, atol=1e-12)
+
+    def test_conv_batch_slices(self, monkeypatch, rng):
+        # a row cap below one image's output pixels gives one image per slice
+        layer = Conv2D(rng.normal(size=(3, 3, 2, 3)), rng.normal(size=3), 1, "same")
+        x = rng.normal(size=(5, 6, 6, 2))
+        y, ctx = layer.apply(x)
+        g = rng.normal(size=y.shape)
+        gx, (gk, gb) = layer.grads(ctx, g)
+        monkeypatch.setattr(nn, "IM2COL_ROWS", 20)
+        ys, ctxs = layer.apply(x)
+        gxs, (gks, gbs) = layer.grads(ctxs, g)
+        np.testing.assert_allclose(ys, conv2d_direct(x, layer.kernel, layer.bias, 1, "same"),
+                                   rtol=1e-12, atol=1e-12)
+        for a, b in ((ys, y), (gxs, gx), (gks, gk), (gbs, gb)):
+            np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
+
+    # (pool, stride): the reshape fast path where they are equal, the strided
+    # path otherwise; 7x8 inputs leave rows and columns outside every window
+    @pytest.mark.parametrize("pool,stride", [(2, 2), (3, 3), (2, 1), (3, 2)])
+    def test_max_pool_matches_direct_loop_with_ties(self, pool, stride, rng):
+        x = rng.integers(0, 3, size=(2, 7, 8, 3)).astype(np.float64)
+        layer = MaxPool2D(pool, stride)
+        y, ctx = layer.apply(x)
+        g = rng.normal(size=y.shape)
+        gx, _ = layer.grads(ctx, g)
+        y_ref, gx_ref = max_pool_direct(x, pool, stride, g)
+        np.testing.assert_array_equal(y, y_ref)
+        np.testing.assert_allclose(gx, gx_ref, rtol=1e-12, atol=0.0)
 
 
 class TestSgd:
