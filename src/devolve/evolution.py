@@ -177,14 +177,22 @@ def propose_candidates(net: Network, mask: SparsityMask, layer: int,
     return out
 
 
-def evaluate_candidate(student: Network, mask: SparsityMask, cand: CandidateSet,
+def evaluate_candidate(masked_student: Network, mask: SparsityMask, cand: CandidateSet,
                        teacher_outputs: np.ndarray, probe,
                        spec: DivergenceSpec) -> float:
     """Divergence with the candidate's layer zeroed at mask plus candidate.
-    Every other layer is used as it is, so the student must already carry
-    the mask there (evaluate_trials and run keep it masked). The student is
-    never modified: the touched layer gets fresh tensors on a shallow copy."""
-    layer_obj = student.layers[cand.layer]
+    Only that layer is masked here; every other layer of `masked_student` is
+    used as it is. So the mask may prune nothing outside the candidate's
+    layer (ValueError otherwise): apply the rest of it to the student first,
+    as evaluate_trials does. The student is never modified: the touched layer
+    gets fresh tensors on a shallow copy."""
+    for layer, bits in mask.bits.items():
+        if layer != cand.layer and bits.any():
+            raise ValueError(
+                f"mask prunes layer {layer}, outside candidate layer {cand.layer}; "
+                f"apply it to the student and pass only layer {cand.layer}'s bits"
+            )
+    layer_obj = masked_student.layers[cand.layer]
     zero = mask.layer_bits(cand.layer).copy()
     zero[cand.indices] = True
     off = 0
@@ -194,7 +202,7 @@ def evaluate_candidate(student: Network, mask: SparsityMask, cand: CandidateSet,
         t[zero[off:off + t.size]] = 0.0
         new.append(t.reshape(orig.shape))
         off += t.size
-    scratch = student.replace_layer(cand.layer, layer_obj.with_params(new))
+    scratch = masked_student.replace_layer(cand.layer, layer_obj.with_params(new))
     inputs = probe.inputs if hasattr(probe, "inputs") else probe
     out = nn.forward(scratch, inputs)
     return divergence(out, teacher_outputs, spec)
@@ -209,18 +217,20 @@ def evaluate_trials(student: Network, mask: SparsityMask,
 
     The mask is applied once, and the layers in front of the first candidate
     layer run once on the probe: every trial evaluates only the tail of the
-    network from that layer on, with its candidate re-indexed to the tail."""
+    network from that layer on, with its candidate and its layer's mask bits
+    re-indexed to the tail."""
     masked = apply_mask(student, mask)
     front = min((c.layer for c in candidates), default=0)
     inputs = probe.inputs if hasattr(probe, "inputs") else probe
     acts = nn.forward(Network(masked.layers[:front], masked.input_shape), inputs)
     tail = Network(masked.layers[front:], acts.shape[1:])
-    tail_mask = SparsityMask({i - front: b for i, b in mask.bits.items() if i >= front},
-                             {i - front: s for i, s in mask.splits.items() if i >= front})
     tail_cands = [CandidateSet(c.layer - front, c.indices) for c in candidates]
+    layer_masks = {c.layer: SparsityMask({c.layer: mask.bits[c.layer + front]},
+                                         {c.layer: mask.splits[c.layer + front]})
+                   for c in tail_cands}
 
     def trial(cand):
-        return evaluate_candidate(tail, tail_mask, cand, teacher_outputs, acts, spec)
+        return evaluate_candidate(tail, layer_masks[cand.layer], cand, teacher_outputs, acts, spec)
 
     if workers <= 1 or len(candidates) < 2:
         divs = [trial(c) for c in tail_cands]

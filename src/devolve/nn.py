@@ -194,29 +194,22 @@ class Conv2D(Layer):
         xp = np.pad(x, ((0, 0), (ph // 2, ph - ph // 2), (pw // 2, pw - pw // 2), (0, 0)))
         k = self.kernel.reshape(-1, cout)
         y = np.empty((n * oh * ow, cout))
-        # grads reuses the patch matrices only when they are no bigger than y
-        keep = k.shape[0] <= cout
-        kept = []
         for lo, hi in _batch_slices(n, oh * ow):
-            cols = self._cols(xp[lo:hi], oh, ow)
-            np.matmul(cols, k, out=y[lo * oh * ow:hi * oh * ow])
-            if keep:
-                kept.append(cols)
+            np.matmul(self._cols(xp[lo:hi], oh, ow), k, out=y[lo * oh * ow:hi * oh * ow])
         y += self.bias
-        return y.reshape(n, oh, ow, cout), (xp, kept, (n, h, w), (oh, ow, ph, pw))
+        return y.reshape(n, oh, ow, cout), (xp, (n, h, w), (oh, ow, ph, pw))
 
     def grads(self, ctx, grad_out):
-        xp, kept, (n, h, w), (oh, ow, ph, pw) = ctx
+        xp, (n, h, w), (oh, ow, ph, pw) = ctx
         kh, kw, cin, cout = self.kernel.shape
         s = self.stride
         k = self.kernel.reshape(-1, cout)
         g = grad_out.reshape(-1, cout)
         gk = np.zeros_like(k)
         gxp = np.zeros_like(xp)
-        for b, (lo, hi) in enumerate(_batch_slices(n, oh * ow)):
+        for lo, hi in _batch_slices(n, oh * ow):
             gs = g[lo * oh * ow:hi * oh * ow]
-            cols = kept[b] if kept else self._cols(xp[lo:hi], oh, ow)
-            gk += cols.T @ gs
+            gk += self._cols(xp[lo:hi], oh, ow).T @ gs
             gcols = (gs @ k.T).reshape(hi - lo, oh, ow, kh, kw, cin)
             for i in range(kh):
                 for j in range(kw):
@@ -302,50 +295,32 @@ class MaxPool2D(Layer):
         oh, ow = self._geometry(in_shape[0], in_shape[1])
         return (oh, ow, in_shape[2])
 
-    def apply(self, x):
-        n, h, w, c = x.shape
+    def _taps(self, oh, ow):
+        """Indices of the p*p window taps (strided views), in i*p + j order."""
         p, s = self.pool, self.stride
-        oh, ow = self._geometry(h, w)
-        if s == p:
-            # disjoint windows: view the input as (n, oh, p, ow, p, c)
-            taps = x[:, :oh * p, :ow * p].reshape(n, oh, p, ow, p, c)
-            y = taps[:, :, 0, :, 0].copy()
-            for k in range(1, p * p):
-                i, j = divmod(k, p)
-                np.maximum(y, taps[:, :, i, :, j], out=y)
-            return y, (taps, y, x.shape)
-        windows = np.stack(
-            [x[:, i:i + s * (oh - 1) + 1:s, j:j + s * (ow - 1) + 1:s, :]
-             for i in range(p) for j in range(p)],
-            axis=-1,
-        )
-        idx = windows.argmax(axis=-1)  # first max wins on ties
-        y = np.take_along_axis(windows, idx[..., None], axis=-1)[..., 0]
-        return y, (idx, x.shape, (oh, ow))
+        for i in range(p):
+            for j in range(p):
+                yield (slice(None), slice(i, i + s * (oh - 1) + 1, s),
+                       slice(j, j + s * (ow - 1) + 1, s))
+
+    def apply(self, x):
+        oh, ow = self._geometry(x.shape[1], x.shape[2])
+        taps = self._taps(oh, ow)
+        y = x[next(taps)].copy()
+        for tap in taps:
+            np.maximum(y, x[tap], out=y)
+        return y, (x, y)
 
     def grads(self, ctx, grad_out):
-        p, s = self.pool, self.stride
-        if s == p:
-            taps, y, in_shape = ctx
-            oh, ow = y.shape[1:3]
-            gx = np.zeros(in_shape)
-            left = grad_out.copy()
-            for k in range(p * p):
-                i, j = divmod(k, p)
-                # the first maximal tap in i*p + j order takes the gradient,
-                # as argmax picks it on the general path
-                took = (taps[:, :, i, :, j] == y) * left
-                gx[:, i:oh * p:p, j:ow * p:p] = took
-                left -= took
-            return gx, []
-        idx, in_shape, (oh, ow) = ctx
-        gx = np.zeros(in_shape)
-        for k in range(p * p):
-            i, j = divmod(k, p)
-            sel = idx == k
-            gx[:, i:i + s * (oh - 1) + 1:s, j:j + s * (ow - 1) + 1:s, :] += np.where(
-                sel, grad_out, 0.0
-            )
+        x, y = ctx
+        gx = np.zeros(x.shape)
+        left = grad_out.copy()
+        for tap in self._taps(y.shape[1], y.shape[2]):
+            # the first maximal tap in i*p + j order takes the gradient
+            took = (x[tap] == y) * left
+            view = gx[tap]
+            view += took  # in place; gx[tap] += would copy the view back
+            left -= took
         return gx, []
 
 

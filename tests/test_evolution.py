@@ -170,6 +170,32 @@ class TestEvaluate:
                                    probe, spec, workers=4)
         assert serial.tobytes() == threaded.tobytes()
 
+    def test_mask_outside_candidate_layer_rejected(self):
+        # evaluate_candidate masks only the candidate's layer, so a mask that
+        # prunes another layer of an unmasked student must not be ignored
+        net = tiny_teacher()
+        probe = tiny_probe()
+        tout = nn.forward(net, probe.inputs)
+        mask = sparsity.random_mask(net, 0.3, seed=5)
+        with pytest.raises(ValueError, match="outside candidate layer 2"):
+            evaluate_candidate(net, mask, CandidateSet(2, [0, 1]), tout, probe,
+                               DivergenceSpec.whole_output(3))
+
+    def test_candidate_layer_mask_on_unmasked_student(self):
+        net = tiny_teacher()
+        probe = tiny_probe()
+        tout = nn.forward(net, probe.inputs)
+        spec = DivergenceSpec.whole_output(3)
+        full = sparsity.random_mask(net, 0.3, seed=5)
+        mask = SparsityMask({2: full.bits[2]}, {2: full.splits[2]})
+        cand = CandidateSet(2, [0, 1])
+        got = evaluate_candidate(net, mask, cand, tout, probe, spec)
+        only = SparsityMask.empty(net)
+        only.bits[2] = full.bits[2].copy()
+        expected = divergence(nn.forward(apply_mask(net, merge(only, cand)), probe.inputs),
+                              tout, spec)
+        assert got == expected
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_front_cache_matches_full_forward(self, workers):
         # candidates on the dense layer behind the conv front; the student

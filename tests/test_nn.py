@@ -189,8 +189,8 @@ class TestConvPoolOracle:
         for a, b in ((ys, y), (gxs, gx), (gks, gk), (gbs, gb)):
             np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
 
-    # (pool, stride): the reshape fast path where they are equal, the strided
-    # path otherwise; 7x8 inputs leave rows and columns outside every window
+    # (pool, stride): disjoint windows where they are equal, overlapping ones
+    # otherwise; 7x8 inputs leave rows and columns outside every window
     @pytest.mark.parametrize("pool,stride", [(2, 2), (3, 3), (2, 1), (3, 2)])
     def test_max_pool_matches_direct_loop_with_ties(self, pool, stride, rng):
         x = rng.integers(0, 3, size=(2, 7, 8, 3)).astype(np.float64)
