@@ -2,20 +2,28 @@
 
 Parses IDX-format image/label files (the MNIST family, optionally gzipped)
 and generates seeded synthetic classification sets so every test and pipeline
-run works offline.
+run works offline. The IDX readers raise `IdxFormatError` (a `ValueError`).
 """
 
 from __future__ import annotations
 
 import gzip
+import math
 import struct
+import zlib
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
+from .binio import FormatError, Reader
+
 IDX_LABEL_MAGIC = 0x00000801
 IDX_IMAGE_MAGIC = 0x00000803
+
+
+class IdxFormatError(FormatError):
+    """Corrupt or truncated IDX file (or its gzip wrapper)."""
 
 
 @dataclass
@@ -43,26 +51,17 @@ class ProbeSet:
 
 def parse_idx(data: bytes) -> np.ndarray:
     """Parse IDX bytes: images -> [n, rows, cols] floats in [0,1], labels -> [n]."""
-    if len(data) < 4:
-        raise ValueError("truncated IDX header at offset 0")
-    (magic,) = struct.unpack_from(">I", data, 0)
-    if magic == IDX_LABEL_MAGIC:
-        ndim = 1
-    elif magic == IDX_IMAGE_MAGIC:
-        ndim = 3
-    else:
-        raise ValueError(f"bad IDX magic 0x{magic:08x} at offset 0")
-    header_len = 4 + 4 * ndim
-    if len(data) < header_len:
-        raise ValueError(f"truncated IDX dimensions at offset {len(data)}")
-    dims = struct.unpack_from(f">{ndim}I", data, 4)
-    count = int(np.prod(dims))
-    if len(data) != header_len + count:
-        raise ValueError(
-            f"IDX payload length {len(data) - header_len} does not match "
-            f"dims {dims} (expected {count} bytes from offset {header_len})"
-        )
-    payload = np.frombuffer(data, dtype=np.uint8, offset=header_len)
+    r = Reader(data, IdxFormatError)
+    (magic,) = r.unpack(">I")
+    ndim = {IDX_LABEL_MAGIC: 1, IDX_IMAGE_MAGIC: 3}.get(magic)
+    if ndim is None:
+        raise r.fail(f"bad IDX magic 0x{magic:08x}")
+    dims = r.unpack(f">{ndim}I")
+    count = math.prod(dims)
+    if r.left != count:
+        raise r.fail(f"IDX payload length {r.left} does not match "
+                     f"dims {dims} (expected {count} bytes)")
+    payload = r.array(np.uint8, count)
     if magic == IDX_LABEL_MAGIC:
         return payload.astype(np.int64)
     return payload.reshape(dims).astype(np.float64) / 255.0
@@ -86,7 +85,10 @@ def load_idx(path: str) -> np.ndarray:
     with open(path, "rb") as f:
         data = f.read()
     if data[:2] == b"\x1f\x8b":
-        data = gzip.decompress(data)
+        try:
+            data = gzip.decompress(data)
+        except (EOFError, gzip.BadGzipFile, zlib.error) as e:
+            raise IdxFormatError(f"corrupt gzip wrapper in {path}: {e}") from e
     return parse_idx(data)
 
 

@@ -5,6 +5,14 @@ analytic gradients, plain SGD with an optional sparsity mask, and a versioned
 binary serialization format ("DEVN"). Everything is seeded and bit-reproducible;
 networks are treated as immutable values during evaluation (updates return new
 networks).
+
+DEVN layout (little-endian, no checksum; `deserialize_network` raises
+`ModelFormatError`, a `ValueError`, on malformed input or trailing bytes):
+
+    magic "DEVN" | version u16 | input ndim u8 + dims u32... | layer count u16
+    per layer: kind u8 | hyperparameters (conv2d: stride u8, same flag u8;
+        leaky_relu: slope f64; max_pool: pool u8, stride u8) | tensor count u8 |
+        per tensor: ndim u8 + dims u32... + f64 values
 """
 
 from __future__ import annotations
@@ -16,6 +24,8 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
+
+from .binio import FormatError, Reader, guard
 
 MAGIC = b"DEVN"
 FORMAT_VERSION = 1
@@ -31,6 +41,10 @@ IM2COL_ROWS = 4096
 
 class ShapeError(ValueError):
     """Raised when tensor shapes do not compose through the network."""
+
+
+class ModelFormatError(FormatError):
+    """Corrupt or truncated DEVN model file."""
 
 
 # ---------------------------------------------------------------------------
@@ -623,11 +637,9 @@ def _write_shape(out: bytearray, shape):
         out += struct.pack("<I", d)
 
 
-def _read_shape(buf: memoryview, off: int):
-    (ndim,) = struct.unpack_from("<B", buf, off)
-    off += 1
-    dims = struct.unpack_from(f"<{ndim}I", buf, off)
-    return tuple(dims), off + 4 * ndim
+def _read_shape(r: Reader) -> tuple[int, ...]:
+    (ndim,) = r.unpack("<B")
+    return r.unpack(f"<{ndim}I")
 
 
 def _write_hyper(out: bytearray, kind: str, hyper: dict):
@@ -640,17 +652,23 @@ def _write_hyper(out: bytearray, kind: str, hyper: dict):
         out += struct.pack("<BB", hyper["pool"], hyper["stride"])
 
 
-def _read_hyper(kind: str, buf: memoryview, off: int):
+def _read_kind(r: Reader) -> tuple[str, dict]:
+    """A layer's kind tag and hyperparameters."""
+    (tag,) = r.unpack("<B")
+    kind = _TAG_KINDS.get(tag)
+    if kind is None:
+        raise r.fail(f"unknown layer tag {tag}")
     if kind == "conv2d":
-        stride, same = struct.unpack_from("<BB", buf, off)
-        return {"stride": stride, "padding": "same" if same else "valid"}, off + 2
+        stride, same = r.unpack("<BB")
+        if same > 1:
+            raise r.fail(f"conv2d padding flag {same} is neither 0 nor 1")
+        return kind, {"stride": stride, "padding": "same" if same else "valid"}
     if kind == "leaky_relu":
-        (slope,) = struct.unpack_from("<d", buf, off)
-        return {"slope": slope}, off + 8
+        return kind, {"slope": r.unpack("<d")[0]}
     if kind == "max_pool":
-        pool, stride = struct.unpack_from("<BB", buf, off)
-        return {"pool": pool, "stride": stride}, off + 2
-    return {}, off
+        pool, stride = r.unpack("<BB")
+        return kind, {"pool": pool, "stride": stride}
+    return kind, {}
 
 
 def serialize_network(net: Network) -> bytes:
@@ -671,55 +689,28 @@ def serialize_network(net: Network) -> bytes:
 
 
 def _layer_from_parts(kind: str, hyper: dict, tensors: list[np.ndarray]) -> Layer:
-    if kind == "dense":
-        return Dense(*tensors)
-    if kind == "conv2d":
-        return Conv2D(tensors[0], tensors[1], hyper["stride"], hyper["padding"])
-    if kind == "leaky_relu":
-        return LeakyReLU(hyper["slope"])
-    if kind == "relu":
-        return ReLU()
-    if kind == "flatten":
-        return Flatten()
-    if kind == "max_pool":
-        return MaxPool2D(hyper["pool"], hyper["stride"])
-    if kind == "softmax":
-        return Softmax()
-    raise ValueError(f"unknown layer kind {kind!r}")
+    n_params = 2 if kind in ("dense", "conv2d") else 0
+    if len(tensors) != n_params:
+        raise ShapeError(f"{kind} takes {n_params} parameter tensors, got {len(tensors)}")
+    return LAYER_KINDS[kind](*tensors, **hyper)
 
 
 def deserialize_network(data: bytes) -> Network:
-    buf = memoryview(data)
-    if bytes(buf[:4]) != MAGIC:
-        raise ValueError(f"bad model magic {bytes(buf[:4])!r} at offset 0")
-    (version,) = struct.unpack_from("<H", buf, 4)
-    if version != FORMAT_VERSION:
-        raise ValueError(f"unsupported model format version {version}")
-    input_shape, off = _read_shape(buf, 6)
-    (n_layers,) = struct.unpack_from("<H", buf, off)
-    off += 2
+    r = Reader(data, ModelFormatError)
+    r.header(MAGIC, FORMAT_VERSION)
+    input_shape = _read_shape(r)
+    (n_layers,) = r.unpack("<H")
     layers = []
-    for _ in range(n_layers):
-        (tag,) = struct.unpack_from("<B", buf, off)
-        off += 1
-        if tag not in _TAG_KINDS:
-            raise ValueError(f"unknown layer tag {tag} at offset {off - 1}")
-        kind = _TAG_KINDS[tag]
-        hyper, off = _read_hyper(kind, buf, off)
-        (n_tensors,) = struct.unpack_from("<B", buf, off)
-        off += 1
-        tensors = []
-        for _ in range(n_tensors):
-            shape, off = _read_shape(buf, off)
-            size = int(np.prod(shape)) if shape else 1
-            end = off + 8 * size
-            if end > len(buf):
-                raise ValueError(f"truncated tensor data at offset {off}")
-            t = np.frombuffer(buf[off:end], dtype="<f8").reshape(shape).copy()
-            tensors.append(t)
-            off = end
-        layers.append(_layer_from_parts(kind, hyper, tensors))
-    return Network(layers, input_shape)
+    with guard(ModelFormatError):
+        for _ in range(n_layers):
+            kind, hyper = _read_kind(r)
+            tensors = []
+            for _ in range(r.unpack("<B")[0]):
+                shape = _read_shape(r)
+                tensors.append(r.array("<f8", math.prod(shape)).reshape(shape))
+            layers.append(_layer_from_parts(kind, hyper, tensors))
+        r.end()
+        return Network(layers, input_shape)
 
 
 def save_network(net: Network, path: str):

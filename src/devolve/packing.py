@@ -15,12 +15,14 @@ Layout ("DEVP", all multi-byte integers little-endian, layers byte-aligned):
 
 The mask encoder picks whichever of raw bitmap / varint run-length is smaller
 (bitmap on ties). Huffman tables are canonical: code lengths fully determine
-the codes, so the decoder rebuilds them without a tree.
+the codes, so the decoder rebuilds them without a tree. The decoders raise
+`PackedFormatError` (a `ValueError`) on corrupt input.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 import struct
 import zlib
 from dataclasses import dataclass
@@ -29,6 +31,7 @@ from typing import Optional
 import numpy as np
 
 from . import nn
+from .binio import FormatError, Reader, guard
 from .nn import Network
 from .quantize import QuantizationSpec, QuantizedModel, dequantize
 from .sparsity import SparsityMask
@@ -40,7 +43,7 @@ MASK_BITMAP = 0
 MASK_RUNLENGTH = 1
 
 
-class PackedFormatError(ValueError):
+class PackedFormatError(FormatError):
     """Corrupt or truncated packed container."""
 
 
@@ -99,15 +102,13 @@ class BitReader:
 @dataclass
 class HuffmanTable:
     """Canonical prefix code over integer symbols; lengths[s] == 0 means the
-    symbol never occurs."""
+    symbol never occurs (a fully pruned layer's table has no symbols)."""
 
     lengths: np.ndarray
 
     def __post_init__(self):
         self.lengths = np.asarray(self.lengths, dtype=np.uint8)
         used = self.lengths[self.lengths > 0]
-        if used.size == 0:
-            raise ValueError("empty code table")
         kraft = float(np.sum(2.0 ** -used.astype(np.float64)))
         if kraft > 1.0 + 1e-12:
             raise ValueError(f"code lengths violate the Kraft inequality ({kraft})")
@@ -221,20 +222,6 @@ def _varint_encode(out: bytearray, value: int):
             return
 
 
-def _varint_decode(data: bytes, off: int):
-    shift = 0
-    value = 0
-    while True:
-        if off >= len(data):
-            raise PackedFormatError(f"truncated varint at byte {off}")
-        byte = data[off]
-        off += 1
-        value |= (byte & 0x7F) << shift
-        if not byte & 0x80:
-            return value, off
-        shift += 7
-
-
 def mask_runs(bits: np.ndarray) -> list[int]:
     """Run lengths alternating zero-run / survivor-run, starting with a
     zero-run (possibly empty)."""
@@ -265,32 +252,25 @@ def encode_mask(bits: np.ndarray) -> tuple[int, bytes]:
 
 
 def decode_mask(tag: int, payload: bytes, size: int) -> np.ndarray:
+    r = Reader(payload, PackedFormatError)
     if tag == MASK_BITMAP:
-        expected = -(-size // 8)
-        if len(payload) != expected:
-            raise PackedFormatError(
-                f"bitmap mask payload is {len(payload)} bytes, expected {expected}"
-            )
-        return np.unpackbits(
-            np.frombuffer(payload, dtype=np.uint8))[:size].astype(bool)
-    if tag == MASK_RUNLENGTH:
-        bits = np.empty(size, dtype=bool)
-        pos = 0
-        off = 0
-        zero = True
-        while pos < size:
-            run, off = _varint_decode(payload, off)
-            if pos + run > size:
-                raise PackedFormatError(
-                    f"mask run overruns layer size {size} at byte {off}"
-                )
-            bits[pos:pos + run] = zero
-            pos += run
-            zero = not zero
-        if off != len(payload):
-            raise PackedFormatError("trailing bytes after mask runs")
-        return bits
-    raise PackedFormatError(f"unknown mask encoding tag {tag}")
+        bits = r.bits(size)
+    elif tag == MASK_RUNLENGTH:
+        runs = []
+        total = 0
+        while total < size:
+            run = r.varint()
+            # only the leading zero-run may be empty
+            if total + run > size or (run == 0 and runs):
+                raise r.fail(f"mask run of {run} bits is empty or overruns "
+                             f"layer size {size}")
+            runs.append(run)
+            total += run
+        bits = np.repeat(np.arange(len(runs)) % 2 == 0, runs)
+    else:
+        raise PackedFormatError(f"unknown mask encoding tag {tag}")
+    r.end()
+    return bits
 
 
 # ---------------------------------------------------------------------------
@@ -322,6 +302,8 @@ def decode_layer(mask_tag: int, mask_payload: bytes, code_payload: bytes,
         raise PackedFormatError(
             f"{bit_length - reader.pos} unread bits after {surviving} codes"
         )
+    if bit_length % 8 and code_payload[-1] & (0xFF >> bit_length % 8):
+        raise PackedFormatError("nonzero padding bits after the code payload")
     flat = np.zeros(size)
     flat[~bits] = dequantize(codes, spec)
     return bits, flat, codes
@@ -346,7 +328,7 @@ class PackedLayer:
 
     @property
     def size(self) -> int:
-        return int(sum(np.prod(s) for s in self.shapes)) if self.shapes else 0
+        return sum(math.prod(s) for s in self.shapes)
 
 
 @dataclass
@@ -379,65 +361,25 @@ class PackedModel:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "PackedModel":
-        if len(data) < 12:
-            raise PackedFormatError("packed file too short")
-        (stored_crc,) = struct.unpack_from("<I", data, len(data) - 4)
-        if zlib.crc32(data[:-4]) != stored_crc:
-            raise PackedFormatError(
-                f"CRC mismatch: stored {stored_crc:#010x}, "
-                f"computed {zlib.crc32(data[:-4]):#010x}"
-            )
-        if data[:4] != PACK_MAGIC:
-            raise PackedFormatError(f"bad magic {data[:4]!r}")
-        (version,) = struct.unpack_from("<H", data, 4)
-        if version != PACK_VERSION:
-            raise PackedFormatError(f"unsupported container version {version}")
-        buf = memoryview(data)
-        input_shape, off = nn._read_shape(buf, 6)
-        (n_layers,) = struct.unpack_from("<H", buf, off)
-        off += 2
+        r = Reader(data, PackedFormatError, crc=True)
+        r.header(PACK_MAGIC, PACK_VERSION)
+        input_shape = nn._read_shape(r)
+        (n_layers,) = r.unpack("<H")
         layers = []
         for _ in range(n_layers):
-            (tag,) = struct.unpack_from("<B", buf, off)
-            off += 1
-            kind = nn._TAG_KINDS.get(tag)
-            if kind is None:
-                raise PackedFormatError(f"unknown layer tag {tag} at byte {off - 1}")
-            hyper, off = nn._read_hyper(kind, buf, off)
-            (n_tensors,) = struct.unpack_from("<B", buf, off)
-            off += 1
-            shapes = []
-            for _ in range(n_tensors):
-                shape, off = nn._read_shape(buf, off)
-                shapes.append(shape)
-            pl = PackedLayer(kind, hyper, shapes)
-            if shapes:
-                mask_tag, mask_len = struct.unpack_from("<BI", buf, off)
-                off += 5
-                pl.mask_tag = mask_tag
-                pl.mask_payload = bytes(buf[off:off + mask_len])
-                off += mask_len
-                (bits,) = struct.unpack_from("<B", buf, off)
-                off += 1
-                n_levels = 2 ** bits
-                pl.lut_bits = bits
-                pl.lut_levels = np.frombuffer(
-                    buf, dtype="<f4", count=n_levels, offset=off).copy()
-                off += 4 * n_levels
-                pl.code_lengths = np.frombuffer(
-                    buf, dtype=np.uint8, count=n_levels, offset=off).copy()
-                off += n_levels
-                (pl.payload_bit_length,) = struct.unpack_from("<Q", buf, off)
-                off += 8
-                nbytes = -(-pl.payload_bit_length // 8)
-                pl.payload = bytes(buf[off:off + nbytes])
-                if len(pl.payload) != nbytes:
-                    raise PackedFormatError(f"truncated payload at byte {off}")
-                off += nbytes
+            pl = PackedLayer(*nn._read_kind(r), [])
+            pl.shapes = [nn._read_shape(r) for _ in range(r.unpack("<B")[0])]
+            if pl.shapes:
+                pl.mask_tag, mask_len = r.unpack("<BI")
+                pl.mask_payload = bytes(r.take(mask_len))
+                (pl.lut_bits,) = r.unpack("<B")
+                pl.lut_levels = r.array("<f4", 2 ** pl.lut_bits)
+                pl.code_lengths = r.array(np.uint8, 2 ** pl.lut_bits)
+                (pl.payload_bit_length,) = r.unpack("<Q")
+                pl.payload = bytes(r.take(-(-pl.payload_bit_length // 8)))
             layers.append(pl)
-        if off != len(data) - 4:
-            raise PackedFormatError(f"{len(data) - 4 - off} stray bytes before CRC")
-        return cls(tuple(input_shape), layers)
+        r.end()
+        return cls(input_shape, layers)
 
 
 def pack_model(qmodel: QuantizedModel) -> PackedModel:
@@ -486,37 +428,26 @@ def unpack_model(packed: PackedModel) -> tuple[Network, SparsityMask]:
     layers = []
     mask_bits = {}
     mask_splits = {}
-    for i, pl in enumerate(packed.layers):
-        if not pl.shapes:
-            layers.append(nn._layer_from_parts(pl.kind, pl.hyper, []))
-            continue
-        spec = QuantizationSpec(
-            "uniform_affine", max(pl.lut_bits, 1), "nearest",
-            pl.lut_levels.astype(np.float64),
-            degenerate=pl.lut_levels.size == 1,
-        )
-        if pl.code_lengths.max(initial=0) == 0:  # fully pruned layer
-            bits = decode_mask(pl.mask_tag, pl.mask_payload, pl.size)
-            if not bits.all():
-                raise PackedFormatError(
-                    f"layer {i} has no code table but unpruned positions"
-                )
-            flat = np.zeros(pl.size)
-        else:
-            table = HuffmanTable(pl.code_lengths)
+    with guard(PackedFormatError):
+        for i, pl in enumerate(packed.layers):
+            if not pl.shapes:
+                layers.append(nn._layer_from_parts(pl.kind, pl.hyper, []))
+                continue
+            spec = QuantizationSpec(
+                "uniform_affine", max(pl.lut_bits, 1), "nearest",
+                pl.lut_levels.astype(np.float64),
+                degenerate=pl.lut_levels.size == 1,
+            )
             bits, flat, _ = decode_layer(
                 pl.mask_tag, pl.mask_payload, pl.payload, pl.payload_bit_length,
-                pl.size, table, spec)
-        tensors = []
-        off = 0
-        for shape in pl.shapes:
-            size = int(np.prod(shape))
-            tensors.append(flat[off:off + size].reshape(shape))
-            off += size
-        layers.append(nn._layer_from_parts(pl.kind, pl.hyper, tensors))
-        mask_bits[i] = bits
-        mask_splits[i] = tuple(int(np.prod(s)) for s in pl.shapes)
-    net = Network(layers, packed.input_shape)
+                pl.size, HuffmanTable(pl.code_lengths), spec)
+            sizes = [math.prod(shape) for shape in pl.shapes]
+            tensors = [t.reshape(shape) for t, shape in
+                       zip(np.split(flat, np.cumsum(sizes)[:-1]), pl.shapes)]
+            layers.append(nn._layer_from_parts(pl.kind, pl.hyper, tensors))
+            mask_bits[i] = bits
+            mask_splits[i] = tuple(sizes)
+        net = Network(layers, packed.input_shape)
     return net, SparsityMask(mask_bits, mask_splits)
 
 

@@ -4,14 +4,27 @@ A mask holds one flat bitset per parameter-carrying layer, covering that
 layer's parameter tensors concatenated in declared order (row-major within
 each tensor). Bits only ever flip False -> True; merge returns a new mask, so
 masks behave as immutable values and are safe to share across workers.
+
+DEVM layout (little-endian; `deserialize_mask` raises `MaskFormatError`, a
+`ValueError`, on anything but this canonical form):
+
+    magic "DEVM" | version u16 | layer count u16
+    per layer, by increasing index: layer index u16 | bit count u64 |
+        tensor count u8 | tensor sizes u64... (summing to the bit count) |
+        bitmap of ceil(bit count / 8) bytes, MSB first, padding bits zero
+    crc32 u32 of everything before it
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import struct
+import zlib
+
 import numpy as np
 
+from .binio import FormatError, Reader
 from .nn import Network
 
 
@@ -185,10 +198,11 @@ def mask_with_counts(net: Network, counts: dict[int, int], seed: int,
 _MASK_MAGIC = b"DEVM"
 
 
-def serialize_mask(mask: SparsityMask) -> bytes:
-    import struct
-    import zlib
+class MaskFormatError(FormatError):
+    """Corrupt, truncated or non-canonical DEVM mask file."""
 
+
+def serialize_mask(mask: SparsityMask) -> bytes:
     out = bytearray()
     out += _MASK_MAGIC
     out += struct.pack("<H", 1)
@@ -206,33 +220,20 @@ def serialize_mask(mask: SparsityMask) -> bytes:
 
 
 def deserialize_mask(data: bytes) -> SparsityMask:
-    import struct
-    import zlib
-
-    if data[:4] != _MASK_MAGIC:
-        raise ValueError(f"bad mask magic {data[:4]!r}")
-    (stored_crc,) = struct.unpack_from("<I", data, len(data) - 4)
-    if zlib.crc32(data[:-4]) != stored_crc:
-        raise ValueError("mask file CRC mismatch")
-    (version,) = struct.unpack_from("<H", data, 4)
-    if version != 1:
-        raise ValueError(f"unsupported mask format version {version}")
-    (n_layers,) = struct.unpack_from("<H", data, 6)
-    off = 8
+    r = Reader(data, MaskFormatError, crc=True)
+    r.header(_MASK_MAGIC, 1)
+    (n_layers,) = r.unpack("<H")
     bits = {}
     splits = {}
     for _ in range(n_layers):
-        layer, size = struct.unpack_from("<HQ", data, off)
-        off += 10
-        (n_sizes,) = struct.unpack_from("<B", data, off)
-        off += 1
-        sizes = struct.unpack_from(f"<{n_sizes}Q", data, off)
-        off += 8 * n_sizes
-        nbytes = -(-size // 8)
-        packed = np.frombuffer(data, dtype=np.uint8, count=nbytes, offset=off)
-        off += nbytes
-        bits[layer] = np.unpackbits(packed)[:size].astype(bool)
-        splits[layer] = tuple(int(s) for s in sizes)
+        layer, size, n_sizes = r.unpack("<HQB")
+        if layer <= next(reversed(bits), -1):  # indices strictly increase
+            raise r.fail(f"layer {layer} out of order")
+        splits[layer] = r.unpack(f"<{n_sizes}Q")
+        if sum(splits[layer]) != size:
+            raise r.fail(f"layer {layer} splits {splits[layer]} do not sum to {size}")
+        bits[layer] = r.bits(size)
+    r.end()
     return SparsityMask(bits, splits)
 
 
