@@ -2,7 +2,7 @@
 
 Layout ("DEVP", all multi-byte integers little-endian, layers byte-aligned):
 
-    magic "DEVP" | version u16 | layer count u16
+    magic "DEVP" | version u16 | input shape (ndim u8 + dims u32...) | layer count u16
     per layer:
         kind u8 | hyperparameters (as in the model format) |
         tensor count u8 | per tensor: ndim u8 + dims u32...
@@ -14,9 +14,16 @@ Layout ("DEVP", all multi-byte integers little-endian, layers byte-aligned):
     crc32 u32 of everything before it
 
 The mask encoder picks whichever of raw bitmap / varint run-length is smaller
-(bitmap on ties). Huffman tables are canonical: code lengths fully determine
-the codes, so the decoder rebuilds them without a tree. The decoders raise
-`PackedFormatError` (a `ValueError`) on corrupt input.
+(bitmap on ties), and the decoder accepts only that choice. Huffman tables are
+canonical: code lengths fully determine the codes (Moffat & Turpin 1997).
+
+Payloads are coded a whole array at a time. The encoder places each code at
+the cumulative sum of the lengths before it, scatters one bit plane per code
+bit and packs the bits. The decoder takes the L-bit window (L the longest
+code) at every bit position; one search of the per-length canonical limits
+gives each window's code length, the rank within that length its symbol, and
+pointer doubling over "next code start" picks the chain of starts from bit 0.
+The decoders raise `PackedFormatError` (a `ValueError`) on corrupt input.
 """
 
 from __future__ import annotations
@@ -48,99 +55,46 @@ class PackedFormatError(FormatError):
 
 
 # ---------------------------------------------------------------------------
-# Bit-level IO (MSB-first within each byte)
-# ---------------------------------------------------------------------------
-
-class BitWriter:
-    def __init__(self):
-        self.buffer = bytearray()
-        self._acc = 0
-        self._nbits = 0
-
-    def write(self, value: int, nbits: int):
-        self._acc = (self._acc << nbits) | (value & ((1 << nbits) - 1))
-        self._nbits += nbits
-        while self._nbits >= 8:
-            self._nbits -= 8
-            self.buffer.append((self._acc >> self._nbits) & 0xFF)
-        self._acc &= (1 << self._nbits) - 1
-
-    @property
-    def bit_length(self) -> int:
-        return len(self.buffer) * 8 + self._nbits
-
-    def getvalue(self) -> bytes:
-        out = bytearray(self.buffer)
-        if self._nbits:
-            out.append((self._acc << (8 - self._nbits)) & 0xFF)
-        return bytes(out)
-
-
-class BitReader:
-    def __init__(self, data: bytes, bit_length: Optional[int] = None):
-        self.data = data
-        self.pos = 0
-        self.limit = len(data) * 8 if bit_length is None else bit_length
-
-    def read(self, nbits: int) -> int:
-        if self.pos + nbits > self.limit:
-            raise PackedFormatError(
-                f"bitstream truncated at bit {self.pos} (wanted {nbits} more)"
-            )
-        out = 0
-        for _ in range(nbits):
-            byte = self.data[self.pos >> 3]
-            out = (out << 1) | ((byte >> (7 - (self.pos & 7))) & 1)
-            self.pos += 1
-        return out
-
-
-# ---------------------------------------------------------------------------
 # Canonical Huffman
 # ---------------------------------------------------------------------------
 
 @dataclass
 class HuffmanTable:
     """Canonical prefix code over integer symbols; lengths[s] == 0 means the
-    symbol never occurs (a fully pruned layer's table has no symbols)."""
+    symbol never occurs (a fully pruned layer's table has no symbols).
+
+    Symbols in (length, symbol) order take consecutive code values, shifted
+    left wherever the length grows. Per code length l (index l - 1) the table
+    keeps `counts`, `offsets` into `order`, `first`, the first l-bit code, and
+    `limits`, the first `max_length`-bit window whose code is longer than l."""
 
     lengths: np.ndarray
 
     def __post_init__(self):
         self.lengths = np.asarray(self.lengths, dtype=np.uint8)
-        used = self.lengths[self.lengths > 0]
-        kraft = float(np.sum(2.0 ** -used.astype(np.float64)))
-        if kraft > 1.0 + 1e-12:
-            raise ValueError(f"code lengths violate the Kraft inequality ({kraft})")
-        self.codes = _canonical_codes(self.lengths)
-
-    def encode_symbols(self, symbols: np.ndarray, writer: BitWriter):
-        codes = self.codes
-        lengths = self.lengths
-        for s in symbols:
-            length = lengths[s]
-            if length == 0:
-                raise ValueError(f"symbol {s} is not in the code table")
-            writer.write(codes[s], int(length))
+        self.max_length = top = int(self.lengths.max(initial=0))
+        if top > 64:
+            raise ValueError(f"code length {top} is too large for 64-bit codes")
+        counts = np.bincount(self.lengths, minlength=top + 1)[1:]
+        kraft = sum(int(c) << (top - l) for l, c in enumerate(counts.tolist(), 1))
+        if kraft > 1 << top:
+            raise ValueError(f"code lengths violate the Kraft inequality ({kraft / 2 ** top})")
+        shifts = (top - np.arange(1, top + 1)).astype(np.uint64)
+        # windows whose code is at most l bits long; the last sum may wrap at 64 bits
+        below = np.cumsum(counts.astype(np.uint64) << shifts)
+        self.limits = below[:-1]
+        self.first = np.concatenate((np.zeros(min(top, 1), np.uint64), self.limits)) >> shifts
+        self.counts = counts.astype(np.uint64)
+        self.offsets = np.cumsum(counts) - counts
+        self.order = np.argsort(self.lengths, kind="stable")[self.lengths.size - int(counts.sum()):]
+        index = self.lengths[self.order].astype(np.intp) - 1
+        self.codes = np.zeros(self.lengths.size, dtype=np.uint64)
+        self.codes[self.order] = self.first[index] + (
+            np.arange(self.order.size) - self.offsets[index]).astype(np.uint64)
 
     def average_length(self, frequencies: dict[int, int]) -> float:
         total = sum(frequencies.values())
         return sum(int(self.lengths[s]) * c for s, c in frequencies.items()) / total
-
-
-def _canonical_codes(lengths: np.ndarray) -> np.ndarray:
-    """Codes assigned in (length, symbol) order, numerically increasing."""
-    order = sorted(s for s in range(lengths.size) if lengths[s] > 0)
-    order.sort(key=lambda s: (lengths[s], s))
-    codes = np.zeros(lengths.size, dtype=np.uint64)
-    code = 0
-    prev_len = 0
-    for s in order:
-        code <<= int(lengths[s]) - prev_len
-        codes[s] = code
-        code += 1
-        prev_len = int(lengths[s])
-    return codes
 
 
 def huffman_build(frequencies: dict[int, int], n_symbols: Optional[int] = None) -> HuffmanTable:
@@ -171,84 +125,93 @@ def huffman_build(frequencies: dict[int, int], n_symbols: Optional[int] = None) 
     return HuffmanTable(lengths)
 
 
-def huffman_decode(reader: BitReader, table: HuffmanTable, count: int) -> np.ndarray:
-    """Canonical decode of `count` symbols."""
-    lengths = table.lengths
-    max_len = int(lengths.max())
-    # first code value and first symbol index per length
-    by_length: dict[int, list[int]] = {}
-    for s in range(lengths.size):
-        if lengths[s] > 0:
-            by_length.setdefault(int(lengths[s]), []).append(s)
-    for syms in by_length.values():
-        syms.sort()
-    first_code = {}
-    code = 0
-    prev = 0
-    for ln in sorted(by_length):
-        code <<= ln - prev
-        first_code[ln] = code
-        code += len(by_length[ln])
-        prev = ln
-    out = np.empty(count, dtype=np.uint32)
-    for i in range(count):
-        code = 0
-        ln = 0
-        while True:
-            code = (code << 1) | reader.read(1)
-            ln += 1
-            if ln in first_code and 0 <= code - first_code[ln] < len(by_length[ln]):
-                out[i] = by_length[ln][code - first_code[ln]]
-                break
-            if ln > max_len:
-                raise PackedFormatError(
-                    f"invalid Huffman code at bit {reader.pos}"
-                )
-    return out
+def huffman_encode(symbols: np.ndarray, table: HuffmanTable) -> tuple[bytes, int]:
+    """(payload, bit length) of the symbols' codes, MSB-first."""
+    symbols = np.asarray(symbols, dtype=np.intp)
+    lengths = table.lengths[symbols].astype(np.intp)
+    if not lengths.all():
+        raise ValueError(f"symbol {symbols[lengths.argmin()]} is not in the code table")
+    ends = np.cumsum(lengths)
+    codes = table.codes[symbols]
+    bits = np.zeros(int(lengths.sum()), dtype=np.uint8)
+    for j in range(table.max_length):  # bit j of every code, counted from its end
+        bits[ends[(codes >> j) & 1 == 1] - 1 - j] = 1
+    return np.packbits(bits).tobytes(), bits.size
+
+
+def huffman_decode(payload: bytes, bit_length: int, table: HuffmanTable,
+                   count: int) -> np.ndarray:
+    """The first `count` symbols of an MSB-first canonical code payload."""
+    if count == 0:
+        return np.zeros(0, dtype=np.uint32)
+    top = table.max_length
+    if top == 0:
+        raise PackedFormatError("invalid Huffman code at bit 0: the table has no codes")
+    n = min(bit_length, 8 * len(payload))
+    # the next `top` bits at every bit position (zeros past the payload),
+    # from the 64 bits at each byte offset and the byte after them
+    nbytes = n // 8 + 1
+    buf = np.zeros(nbytes + 8, dtype=np.uint8)
+    buf[:min(len(payload), nbytes)] = np.frombuffer(payload, np.uint8)[:nbytes]
+    words = np.lib.stride_tricks.sliding_window_view(buf, 8)[:nbytes].copy().view(">u8")
+    shifts = np.arange(8, dtype=np.uint64)
+    windows = (words.astype(np.uint64) << shifts) | (buf[8:, None].astype(np.uint64) >> 8 - shifts)
+    windows = windows.reshape(-1) >> np.uint64(64 - top)
+    lengths = np.searchsorted(table.limits, windows, side="right") + 1
+    # code starts: follow each position's next start by pointer doubling; a
+    # chain at n stays there, and count > n codes cannot fit in n bits
+    after = np.minimum(np.arange(windows.size) + lengths, n)
+    starts, want = np.zeros(1, dtype=np.intp), min(count, n + 1)
+    while starts.size < want:
+        starts = np.concatenate((starts, after[starts]))
+        after = after[after]
+    starts = starts[:want]
+    lengths = lengths[starts]
+    rank = (windows[starts] >> (top - lengths).astype(np.uint64)) - table.first[lengths - 1]
+    bad = (starts + lengths > n) | (rank >= table.counts[lengths - 1])
+    if bad.any():
+        k = int(bad.argmax())
+        what = "truncated" if starts[k] + lengths[k] > n else "invalid Huffman code"
+        raise PackedFormatError(f"{what} at bit {starts[k]} (code {k} of {count})")
+    return table.order[table.offsets[lengths - 1] + rank.astype(np.intp)].astype(np.uint32)
 
 
 # ---------------------------------------------------------------------------
 # Mask encodings
 # ---------------------------------------------------------------------------
 
-def _varint_encode(out: bytearray, value: int):
-    while True:
-        byte = value & 0x7F
-        value >>= 7
-        if value:
-            out.append(byte | 0x80)
-        else:
-            out.append(byte)
-            return
+def _runlength(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mask runs (see `mask_runs`) and the byte count of each run's LEB128."""
+    edges = np.flatnonzero(bits[1:] != bits[:-1]) + 1
+    runs = np.diff(edges, prepend=0, append=bits.size)
+    if not bits[:1].all():
+        runs = np.concatenate(([0], runs))
+    sizes = np.ones(runs.size, dtype=np.intp)
+    rest = runs >> 7
+    while rest.any():
+        sizes += rest > 0
+        rest >>= 7
+    return runs, sizes
 
 
 def mask_runs(bits: np.ndarray) -> list[int]:
     """Run lengths alternating zero-run / survivor-run, starting with a
     zero-run (possibly empty)."""
-    runs = []
-    current = True  # zeroed
-    count = 0
-    for b in np.asarray(bits, dtype=bool):
-        if b == current:
-            count += 1
-        else:
-            runs.append(count)
-            current = b
-            count = 1
-    runs.append(count)
-    return runs
+    return _runlength(np.asarray(bits, dtype=bool))[0].tolist()
 
 
 def encode_mask(bits: np.ndarray) -> tuple[int, bytes]:
     """Smaller of raw bitmap and run-length varints (bitmap on ties)."""
     bits = np.asarray(bits, dtype=bool)
-    bitmap = np.packbits(bits).tobytes()
-    rle = bytearray()
-    for run in mask_runs(bits):
-        _varint_encode(rle, run)
-    if len(rle) < len(bitmap):
-        return MASK_RUNLENGTH, bytes(rle)
-    return MASK_BITMAP, bitmap
+    runs, sizes = _runlength(bits)
+    if sizes.sum() >= -(-bits.size // 8):
+        return MASK_BITMAP, np.packbits(bits).tobytes()
+    starts = np.cumsum(sizes) - sizes
+    rle = np.zeros(int(sizes.sum()), dtype=np.uint8)
+    for k in range(int(sizes.max())):  # the k-th 7-bit group of every run
+        live = sizes > k
+        rle[starts[live] + k] = runs[live] >> 7 * k & 0x7F | 0x80 * (sizes[live] > k + 1)
+    return MASK_RUNLENGTH, rle.tobytes()
 
 
 def decode_mask(tag: int, payload: bytes, size: int) -> np.ndarray:
@@ -270,6 +233,9 @@ def decode_mask(tag: int, payload: bytes, size: int) -> np.ndarray:
     else:
         raise PackedFormatError(f"unknown mask encoding tag {tag}")
     r.end()
+    if (tag == MASK_RUNLENGTH) != (_runlength(bits)[1].sum() < -(-size // 8)):
+        raise PackedFormatError(f"mask encoding tag {tag} is not the one encode_mask "
+                                f"picks (run-length only when shorter than the bitmap)")
     return bits
 
 
@@ -285,9 +251,7 @@ def encode_layer(mask_bits: np.ndarray, codes: np.ndarray, table: HuffmanTable):
             f"{codes.size} codes for {surviving} surviving weights"
         )
     tag, mask_payload = encode_mask(mask_bits)
-    writer = BitWriter()
-    table.encode_symbols(codes, writer)
-    return tag, mask_payload, writer.getvalue(), writer.bit_length
+    return (tag, mask_payload) + huffman_encode(codes, table)
 
 
 def decode_layer(mask_tag: int, mask_payload: bytes, code_payload: bytes,
@@ -296,11 +260,11 @@ def decode_layer(mask_tag: int, mask_payload: bytes, code_payload: bytes,
     """(mask bits, dequantized flat weights with masked zeros)."""
     bits = decode_mask(mask_tag, mask_payload, size)
     surviving = int((~bits).sum())
-    reader = BitReader(code_payload, bit_length)
-    codes = huffman_decode(reader, table, surviving)
-    if reader.pos != bit_length:
+    codes = huffman_decode(code_payload, bit_length, table, surviving)
+    used = int(table.lengths[codes].sum(dtype=np.int64))
+    if used != bit_length:
         raise PackedFormatError(
-            f"{bit_length - reader.pos} unread bits after {surviving} codes"
+            f"{bit_length - used} unread bits after {surviving} codes"
         )
     if bit_length % 8 and code_payload[-1] & (0xFF >> bit_length % 8):
         raise PackedFormatError("nonzero padding bits after the code payload")

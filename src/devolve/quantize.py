@@ -407,6 +407,8 @@ class QuantizationSpec:
         self.levels = np.asarray(self.levels, dtype=np.float64)
         if self.levels.ndim != 1 or self.levels.size < 1:
             raise ValueError("levels must be a nonempty 1-D array")
+        if not np.isfinite(self.levels).all():
+            raise ValueError("levels must be finite")
         if (np.diff(self.levels) <= 0).any():
             raise ValueError("levels must be strictly increasing")
         if self.scheme != "identity" and not self.degenerate \

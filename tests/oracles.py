@@ -2,8 +2,9 @@
 
 Nothing here may call the code path it validates: gradients come from central
 finite differences, convolution and pooling from direct loops over output
-pixels, and quantizer optima come from exhaustive grid search or a grid
-dynamic program with closed-form integrals over the piecewise-linear density.
+pixels, quantizer optima come from exhaustive grid search or a grid
+dynamic program with closed-form integrals over the piecewise-linear density,
+and canonical Huffman payloads are walked one bit at a time.
 """
 
 import numpy as np
@@ -200,3 +201,64 @@ def grid_dp_error(density, n_levels, points=1024):
     for _ in range(n_levels - 2):
         reach = np.min(reach[:, None] + cost, axis=0)
     return float(reach[-1])
+
+
+# ---------------------------------------------------------------------------
+# Bit-by-bit canonical Huffman coding
+# ---------------------------------------------------------------------------
+
+class HuffmanOracleError(ValueError):
+    """`kind` is "truncated" or "invalid Huffman code"; `bit` is where the
+    failing code starts."""
+
+    def __init__(self, kind, bit):
+        super().__init__(f"{kind} at bit {bit}")
+        self.kind, self.bit = kind, bit
+
+
+def canonical_code_map(lengths):
+    """{symbol: (length, code)}: symbols in (length, symbol) order take
+    consecutive codes, shifted left wherever the length grows."""
+    lengths = [int(x) for x in lengths]
+    out, code, prev = {}, 0, 0
+    for sym in sorted((s for s, n in enumerate(lengths) if n), key=lambda s: (lengths[s], s)):
+        code <<= lengths[sym] - prev
+        prev = lengths[sym]
+        out[sym] = (prev, code)
+        code += 1
+    return out
+
+
+def huffman_encode_bitwise(lengths, symbols):
+    """(payload bytes, bit length), one bit appended at a time, MSB-first."""
+    codes = canonical_code_map(lengths)
+    bits = []
+    for sym in symbols:
+        length, code = codes[int(sym)]
+        bits += [(code >> (length - 1 - i)) & 1 for i in range(length)]
+    out = bytearray(-(-len(bits) // 8))
+    for i, bit in enumerate(bits):
+        out[i // 8] |= bit << (7 - i % 8)
+    return bytes(out), len(bits)
+
+
+def huffman_decode_bitwise(lengths, payload, bit_length, count):
+    """(symbols, bits read) of the first `count` codes, reading one bit at a
+    time; a code that runs past `bit_length` is truncated, and `max(lengths)`
+    bits that match no code are an invalid code."""
+    table = {v: s for s, v in canonical_code_map(lengths).items()}
+    max_len = max((int(x) for x in lengths), default=0)
+    n = min(bit_length, 8 * len(payload))
+    symbols, pos = [], 0
+    for _ in range(count):
+        start, code, length = pos, 0, 0
+        while (length, code) not in table:
+            if length == max_len:
+                raise HuffmanOracleError("invalid Huffman code", start)
+            if pos == n:
+                raise HuffmanOracleError("truncated", start)
+            code = (code << 1) | (payload[pos // 8] >> (7 - pos % 8)) & 1
+            pos += 1
+            length += 1
+        symbols.append(table[(length, code)])
+    return symbols, pos

@@ -14,7 +14,7 @@ import pytest
 from devolve import datasets, nn, sparsity
 from devolve.datasets import IdxFormatError
 from devolve.nn import ModelFormatError
-from devolve.packing import (MASK_BITMAP, MASK_RUNLENGTH, BitReader, HuffmanTable,
+from devolve.packing import (MASK_BITMAP, MASK_RUNLENGTH, HuffmanTable,
                              PackedFormatError, PackedModel, decode_mask,
                              encode_layer, huffman_decode, pack_model,
                              unpack_model)
@@ -76,7 +76,8 @@ def roundtrip_devp(data):
         if pl.shapes:
             bits = mask.bits[i]
             table = HuffmanTable(pl.code_lengths)
-            codes = huffman_decode(BitReader(pl.payload), table, int((~bits).sum()))
+            codes = huffman_decode(pl.payload, pl.payload_bit_length, table,
+                                   int((~bits).sum()))
             pl.mask_tag, pl.mask_payload, pl.payload, pl.payload_bit_length = \
                 encode_layer(bits, codes, table)
     return packed.to_bytes()
@@ -215,6 +216,22 @@ class TestContainerTyped:
     def test_noncanonical_runs(self, payload, match):
         with pytest.raises(PackedFormatError, match=match):
             decode_mask(MASK_RUNLENGTH, payload, 5)
+
+    @pytest.mark.parametrize("tag,payload,size", [
+        (MASK_RUNLENGTH, bytes([1] * 16), 16),  # the bitmap b"\xaa\xaa" is shorter
+        (MASK_RUNLENGTH, bytes([8]), 8),  # a tie goes to the bitmap
+        (MASK_BITMAP, b"\xff" * 512, 4096),  # run-length [4096] is 2 bytes
+    ])
+    def test_noncanonical_encoding_choice(self, tag, payload, size):
+        with pytest.raises(PackedFormatError, match="not the one encode_mask picks"):
+            decode_mask(tag, payload, size)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_level(self, container, bad):
+        levels = PackedModel.from_bytes(container).layers[0].lut_levels.copy()
+        levels[1] = bad
+        with pytest.raises(PackedFormatError, match="finite"):
+            unpack_model(PackedModel.from_bytes(corrupt(container, 0, lut_levels=levels)))
 
 
 # --- DEVN --------------------------------------------------------------------

@@ -1,36 +1,126 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from devolve import nn, sparsity
-from devolve.packing import (BitReader, BitWriter, PackedFormatError,
-                             PackedLayer, PackedModel, compression_report,
-                             decode_layer, decode_mask, encode_layer, encode_mask,
-                             huffman_build, huffman_decode, mask_runs, pack_model,
+from devolve.packing import (HuffmanTable, PackedFormatError, PackedLayer,
+                             PackedModel, compression_report, decode_layer,
+                             decode_mask, encode_layer, encode_mask, huffman_build,
+                             huffman_decode, huffman_encode, mask_runs, pack_model,
                              unpack_model)
 from devolve.quantize import QuantizationSpec, quantize_network
 from devolve.sparsity import SparsityMask
 
+from oracles import (HuffmanOracleError, huffman_decode_bitwise,
+                     huffman_encode_bitwise)
 
-class TestBitIO:
-    def test_roundtrip(self):
-        w = BitWriter()
-        w.write(0b101, 3)
-        w.write(0b1, 1)
-        w.write(0xABCD, 16)
-        data = w.getvalue()
-        r = BitReader(data, w.bit_length)
-        assert r.read(3) == 0b101
-        assert r.read(1) == 0b1
-        assert r.read(16) == 0xABCD
+
+def random_table(rng):
+    """A Huffman-built table, sometimes with codes lengthened (incomplete)."""
+    n_sym = int(rng.integers(1, 17))
+    counts = rng.integers(0, 60, size=n_sym)
+    counts[rng.integers(0, n_sym)] += 1
+    table = huffman_build(dict(enumerate(counts.tolist())), n_symbols=n_sym)
+    grow = rng.integers(0, 4, size=n_sym) * (rng.random(n_sym) < 0.3)
+    return HuffmanTable(table.lengths + grow * (table.lengths > 0))
+
+
+def fibonacci_table(n_symbols):
+    counts = [1, 1]
+    while len(counts) < n_symbols:
+        counts.append(counts[-1] + counts[-2])
+    return huffman_build(dict(enumerate(counts)))
+
+
+def decode_outcome(decode, *args):
+    """(symbols, None) or (None, (kind, bit)) of a decoder's failure."""
+    try:
+        return [int(s) for s in decode(*args)], None
+    except (PackedFormatError, HuffmanOracleError) as e:
+        found = re.search(r"(truncated|invalid Huffman code) at bit (\d+)", str(e))
+        assert found, str(e)
+        return None, (found[1], int(found[2]))
+
+
+def assert_matches_oracle(table, payload, bit_length, count):
+    """The decoder and the oracle return the same symbols or fail alike;
+    returns the outcome."""
+    ours = decode_outcome(huffman_decode, payload, bit_length, table, count)
+    assert ours == decode_outcome(lambda *a: huffman_decode_bitwise(*a)[0],
+                                  table.lengths, payload, bit_length, count)
+    return ours
+
+
+def assert_roundtrip(table, symbols):
+    payload, bit_length = huffman_encode(symbols, table)
+    assert (payload, bit_length) == huffman_encode_bitwise(table.lengths, symbols)
+    out = huffman_decode(payload, bit_length, table, symbols.size)
+    np.testing.assert_array_equal(out, symbols)
+    assert_matches_oracle(table, payload, bit_length, symbols.size)
+
+
+class TestHuffmanPayloads:
+    """The whole-payload codec against the bit-by-bit oracle."""
+
+    @given(st.integers(0, 10 ** 6))
+    def test_agrees_with_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        table = random_table(rng)
+        used = np.flatnonzero(table.lengths)
+        assert_roundtrip(table, rng.choice(used, size=int(rng.integers(0, 300))))
+
+    @given(st.integers(0, 10 ** 6))
+    def test_failures_match_oracle(self, seed):
+        # random bytes under incomplete tables hold invalid codes; short bit
+        # lengths and large counts truncate
+        rng = np.random.default_rng(seed)
+        table = random_table(rng)
+        payload = rng.integers(0, 256, size=int(rng.integers(0, 12)), dtype=np.uint8).tobytes()
+        bit_length = int(rng.integers(0, 8 * len(payload) + 1))
+        assert_matches_oracle(table, payload, bit_length, int(rng.integers(0, 40)))
 
     def test_truncation_detected(self):
-        r = BitReader(b"\xFF", 4)
-        r.read(4)
-        with pytest.raises(PackedFormatError, match="truncated"):
-            r.read(1)
+        table = huffman_build({0: 5, 1: 3, 2: 1, 3: 1})
+        symbols = np.array([3, 0, 2, 1, 1, 0, 3])
+        payload, bit_length = huffman_encode(symbols, table)
+        for cut in range(bit_length):
+            _, failure = assert_matches_oracle(table, payload, cut, symbols.size)
+            assert failure[0] == "truncated"
+
+    @pytest.mark.parametrize("bit_length", [5, 8])
+    def test_invalid_code_detected(self, bit_length):
+        table = HuffmanTable(np.array([1, 2, 0, 0], dtype=np.uint8))  # "11" is no code
+        with pytest.raises(PackedFormatError, match="invalid Huffman code at bit 3"):
+            huffman_decode(bytes([0b01011000]), bit_length, table, 3)
+
+    def test_no_codes(self):
+        table = HuffmanTable(np.zeros(4, dtype=np.uint8))
+        assert huffman_decode(b"", 0, table, 0).size == 0
+        assert huffman_encode(np.zeros(0, dtype=np.uint32), table) == (b"", 0)
+        with pytest.raises(PackedFormatError, match="invalid Huffman code at bit 0"):
+            huffman_decode(b"\x00", 8, table, 1)
+
+    @pytest.mark.parametrize("lengths", [
+        fibonacci_table(64).lengths,  # one code of each length up to 63 bits
+        np.array(list(range(1, 65)) + [64]),  # complete, with 64-bit codes
+    ])
+    def test_long_codes_roundtrip(self, lengths):
+        table = HuffmanTable(lengths)
+        assert table.max_length >= 40
+        longest = np.flatnonzero(table.lengths == table.max_length)
+        assert_roundtrip(table, np.concatenate([longest, np.flatnonzero(table.lengths),
+                                                longest[::-1]]))
+
+    @pytest.mark.parametrize("lengths", [[1, 65, 0, 0], [2, 2, 2, 66], [65, 0, 0, 0],
+                                         [1, 2, 3, 200]])
+    def test_codes_longer_than_64_bits_rejected(self, lengths):
+        packed = pack_model(quantized_fixture(bits=2))
+        packed.layers[0].code_lengths = np.array(lengths, dtype=np.uint8)
+        with pytest.raises(PackedFormatError, match="too large"):
+            unpack_model(PackedModel.from_bytes(packed.to_bytes()))
 
 
 class TestHuffman:
@@ -82,10 +172,8 @@ class TestHuffman:
         freqs = {int(s): int(c) for s, c in zip(*np.unique(symbols,
                                                            return_counts=True))}
         table = huffman_build(freqs, n_symbols=n_sym)
-        w = BitWriter()
-        table.encode_symbols(symbols, w)
-        out = huffman_decode(BitReader(w.getvalue(), w.bit_length), table,
-                             symbols.size)
+        payload, bit_length = huffman_encode(symbols, table)
+        out = huffman_decode(payload, bit_length, table, symbols.size)
         np.testing.assert_array_equal(out, symbols)
 
     def test_canonical_deterministic(self):
