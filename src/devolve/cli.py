@@ -334,8 +334,7 @@ def cmd_pack(config: dict) -> int:
             degenerate=entry.get("degenerate", False),
         )
         i = entry["layer"]
-        flat = np.concatenate([t.reshape(-1)
-                               for t in qnet.layers[i].param_tensors()])
+        flat = qnet.layers[i].flat_params()
         # values are exact level entries, so nearest lookup recovers the codes
         codes = quantize.quantize(flat, mask.layer_bits(i),
                                   quantize.QuantizationSpec(

@@ -193,16 +193,10 @@ def evaluate_candidate(masked_student: Network, mask: SparsityMask, cand: Candid
                 f"apply it to the student and pass only layer {cand.layer}'s bits"
             )
     layer_obj = masked_student.layers[cand.layer]
-    zero = mask.layer_bits(cand.layer).copy()
-    zero[cand.indices] = True
-    off = 0
-    new = []
-    for orig in layer_obj.param_tensors():
-        t = orig.reshape(-1).copy()
-        t[zero[off:off + t.size]] = 0.0
-        new.append(t.reshape(orig.shape))
-        off += t.size
-    scratch = masked_student.replace_layer(cand.layer, layer_obj.with_params(new))
+    flat = layer_obj.flat_params()
+    flat[mask.layer_bits(cand.layer)] = 0.0
+    flat[cand.indices] = 0.0
+    scratch = masked_student.replace_layer(cand.layer, layer_obj.with_flat_params(flat))
     inputs = probe.inputs if hasattr(probe, "inputs") else probe
     out = nn.forward(scratch, inputs)
     return divergence(out, teacher_outputs, spec)
@@ -267,7 +261,8 @@ def retrain(student: Network, mask: SparsityMask, teacher_outputs: np.ndarray,
             probe, cfg: EvolutionConfig, spec: DivergenceSpec) -> Network:
     """SGD on the divergence toward the teacher outputs; masked positions stay
     zero. Keeps the best parameters seen, so the result never diverges more
-    than the input network."""
+    than the input network. A step or epoch that goes non-finite ends the
+    retraining, and the best network so far stands."""
     if cfg.retrain_epochs <= 0:
         return student
     inputs = probe.inputs if hasattr(probe, "inputs") else probe
@@ -276,17 +271,22 @@ def retrain(student: Network, mask: SparsityMask, teacher_outputs: np.ndarray,
     net = apply_mask(student, mask)
     best_net = net
     best_div = divergence(nn.forward(net, inputs), teacher_outputs, spec)
-    for _ in range(cfg.retrain_epochs):
-        for lo in range(0, n, bs):
-            hi = min(lo + bs, n)
-            out, ctxs = nn._forward_with_ctx(net, inputs[lo:hi])
-            _, grad_out = divergence_grad(out, teacher_outputs[lo:hi], spec)
-            grads = nn._backprop(net, ctxs, grad_out)
-            net = nn.sgd_step(net, grads, cfg.retrain_lr, mask)
-        div = divergence(nn.forward(net, inputs), teacher_outputs, spec)
-        if div < best_div:
-            best_div = div
-            best_net = net
+    try:
+        for _ in range(cfg.retrain_epochs):
+            for lo in range(0, n, bs):
+                hi = min(lo + bs, n)
+                out, ctxs = nn._forward_with_ctx(net, inputs[lo:hi])
+                _, grad_out = divergence_grad(out, teacher_outputs[lo:hi], spec)
+                grads = nn._backprop(net, ctxs, grad_out)
+                net = apply_mask(nn.sgd_step(net, grads, cfg.retrain_lr), mask)
+            div = divergence(nn.forward(net, inputs), teacher_outputs, spec)
+            if not math.isfinite(div):
+                break
+            if div < best_div:
+                best_div = div
+                best_net = net
+    except FloatingPointError:
+        pass
     return best_net
 
 
@@ -375,7 +375,7 @@ def weight_histogram(net: Network, bins: int, mask: Optional[SparsityMask] = Non
     layers = [layer] if layer is not None else net.param_layer_indices()
     values = []
     for i in layers:
-        flat = np.concatenate([t.reshape(-1) for t in net.layers[i].param_tensors()])
+        flat = net.layers[i].flat_params()
         if mask is not None and i in mask.bits:
             flat = flat[~mask.layer_bits(i)]
         values.append(flat)

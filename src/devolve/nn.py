@@ -1,10 +1,14 @@
 """Minimal deterministic float64 network engine.
 
 Supports dense and small convolutional classifiers: forward pass, exact
-analytic gradients, plain SGD with an optional sparsity mask, and a versioned
-binary serialization format ("DEVN"). Everything is seeded and bit-reproducible;
-networks are treated as immutable values during evaluation (updates return new
-networks).
+analytic gradients, plain SGD, and a versioned binary serialization format
+("DEVN"). Everything is seeded and bit-reproducible; networks are treated as
+immutable values during evaluation (updates return new networks).
+
+This module owns the layer-flat parameter layout: `Layer.flat_params` lays a
+layer's parameter tensors end to end in declared order, each row-major, and
+`Layer.with_flat_params` / `unflatten` invert it. DEVM mask bitsets, candidate
+indices, quantizer codes and DEVP payloads all index that layout.
 
 DEVN layout (little-endian, no checksum; `deserialize_network` raises
 `ModelFormatError`, a `ValueError`, on malformed input or trailing bytes):
@@ -72,6 +76,17 @@ class Layer:
             raise ValueError(f"{self.kind} takes no parameters")
         return self
 
+    def flat_params(self) -> np.ndarray:
+        """A fresh 1-D copy of the parameters in the layer-flat layout."""
+        tensors = self.param_tensors()
+        if not tensors:
+            return np.empty(0)
+        return np.concatenate([t.reshape(-1) for t in tensors])
+
+    def with_flat_params(self, flat: np.ndarray) -> "Layer":
+        """The same kind of layer on views of `flat` (see `flat_params`)."""
+        return self.with_params(unflatten(flat, [t.shape for t in self.param_tensors()]))
+
     def out_shape(self, in_shape: tuple[int, ...]) -> tuple[int, ...]:
         raise NotImplementedError
 
@@ -83,6 +98,18 @@ class Layer:
 
     def hyper(self) -> dict:
         return {}
+
+
+def unflatten(flat: np.ndarray, shapes: Sequence[tuple[int, ...]]) -> list[np.ndarray]:
+    """Row-major views of consecutive slices of `flat`, one per shape."""
+    flat = np.asarray(flat)
+    sizes = [math.prod(shape) for shape in shapes]
+    if flat.shape != (sum(sizes),):
+        raise ShapeError(f"flat parameters of shape {flat.shape} do not fill "
+                         f"tensors of shapes {list(shapes)}")
+    ends = np.cumsum(sizes)
+    return [flat[end - size:end].reshape(shape)
+            for size, end, shape in zip(sizes, ends, shapes)]
 
 
 class Dense(Layer):
@@ -410,11 +437,6 @@ class Network:
                 raise ShapeError(f"layer {i} ({layer.kind}): {e}") from None
         self.output_shape = shape
 
-    def parameter_slots(self) -> list[tuple[int, int]]:
-        """(layer index, tensor index) for every parameter tensor, in order."""
-        return [(i, j) for i, layer in enumerate(self.layers)
-                for j in range(len(layer.param_tensors()))]
-
     def parameter_count(self) -> int:
         return sum(t.size for i, layer in enumerate(self.layers)
                    for t in layer.param_tensors())
@@ -426,9 +448,8 @@ class Network:
         return [i for i, l in enumerate(self.layers) if l.param_tensors()]
 
     def copy(self) -> "Network":
-        layers = [l.with_params([t.copy() for t in l.param_tensors()])
-                  if l.param_tensors() else l for l in self.layers]
-        return Network(layers, self.input_shape)
+        return Network([l.with_flat_params(l.flat_params()) for l in self.layers],
+                       self.input_shape)
 
     def replace_layer(self, layer_idx: int, layer: Layer) -> "Network":
         """Shallow copy with one layer swapped; other tensors are shared."""
@@ -518,14 +539,13 @@ def backward(net: Network, batch: Batch, loss_kind: str) -> list[np.ndarray]:
     return loss_and_grads(net, batch, loss_kind)[1]
 
 
-def sgd_step(net: Network, grads: Sequence[np.ndarray], lr: float,
-             mask=None) -> Network:
-    """w <- w - lr*g. Positions zeroed by the mask stay exactly 0.0."""
+def sgd_step(net: Network, grads: Sequence[np.ndarray], lr: float) -> Network:
+    """w <- w - lr*g (raises FloatingPointError on a non-finite result)."""
     if lr <= 0:
         raise ValueError(f"learning rate must be positive, got {lr}")
-    slots = net.parameter_slots()
-    if len(grads) != len(slots):
-        raise ShapeError(f"expected {len(slots)} gradients, got {len(grads)}")
+    n_tensors = sum(len(layer.param_tensors()) for layer in net.layers)
+    if len(grads) != n_tensors:
+        raise ShapeError(f"expected {n_tensors} gradients, got {len(grads)}")
     layers = list(net.layers)
     k = 0
     for i, layer in enumerate(net.layers):
@@ -541,16 +561,10 @@ def sgd_step(net: Network, grads: Sequence[np.ndarray], lr: float,
                     f"in layer {i}"
                 )
             new.append(t - lr * g)
+            _check_finite(new[-1], f"sgd_step on layer {i}")
             k += 1
         layers[i] = layer.with_params(new)
-    out = Network(layers, net.input_shape)
-    if mask is not None:
-        from .sparsity import apply_mask
-        out = apply_mask(out, mask)
-    for i, layer in enumerate(out.layers):
-        for t in layer.param_tensors():
-            _check_finite(t, f"sgd_step on layer {i}")
-    return out
+    return Network(layers, net.input_shape)
 
 
 def accuracy(net: Network, dataset) -> float:

@@ -364,24 +364,16 @@ def pack_model(qmodel: QuantizedModel) -> PackedModel:
                     f"layer {i}: {n_levels} levels cannot pack into "
                     f"{lut_bits}-bit codes"
                 )
-            if lq.codes.size == 0:  # fully pruned layer: empty payload
-                tag, mask_payload = encode_mask(mask.layer_bits(i))
-                table_lengths = np.zeros(n_levels, dtype=np.uint8)
-                payload, bit_len = b"", 0
-            else:
-                freqs = {int(s): int(c) for s, c in
-                         zip(*np.unique(lq.codes, return_counts=True))}
-                table = huffman_build(freqs, n_symbols=n_levels)
-                tag, mask_payload, payload, bit_len = encode_layer(
-                    mask.layer_bits(i), lq.codes, table)
-                table_lengths = table.lengths
-            pl.mask_tag = tag
-            pl.mask_payload = mask_payload
+            freqs = {int(s): int(c) for s, c in
+                     zip(*np.unique(lq.codes, return_counts=True))}
+            # a fully pruned layer has no codes: an all-zero table, an empty payload
+            table = (huffman_build(freqs, n_symbols=n_levels) if freqs
+                     else HuffmanTable(np.zeros(n_levels, dtype=np.uint8)))
+            pl.mask_tag, pl.mask_payload, pl.payload, pl.payload_bit_length = (
+                encode_layer(mask.layer_bits(i), lq.codes, table))
             pl.lut_bits = lut_bits
             pl.lut_levels = lq.spec.levels.astype("<f4")
-            pl.code_lengths = table_lengths
-            pl.payload = payload
-            pl.payload_bit_length = bit_len
+            pl.code_lengths = table.lengths
         layers.append(pl)
     return PackedModel(net.input_shape, layers)
 
@@ -405,12 +397,10 @@ def unpack_model(packed: PackedModel) -> tuple[Network, SparsityMask]:
             bits, flat, _ = decode_layer(
                 pl.mask_tag, pl.mask_payload, pl.payload, pl.payload_bit_length,
                 pl.size, HuffmanTable(pl.code_lengths), spec)
-            sizes = [math.prod(shape) for shape in pl.shapes]
-            tensors = [t.reshape(shape) for t, shape in
-                       zip(np.split(flat, np.cumsum(sizes)[:-1]), pl.shapes)]
-            layers.append(nn._layer_from_parts(pl.kind, pl.hyper, tensors))
+            layers.append(nn._layer_from_parts(pl.kind, pl.hyper,
+                                               nn.unflatten(flat, pl.shapes)))
             mask_bits[i] = bits
-            mask_splits[i] = tuple(sizes)
+            mask_splits[i] = tuple(math.prod(shape) for shape in pl.shapes)
         net = Network(layers, packed.input_shape)
     return net, SparsityMask(mask_bits, mask_splits)
 

@@ -499,12 +499,6 @@ class QuantizedModel:
     layers: list[LayerQuantization]
 
 
-def _surviving(net: Network, mask: SparsityMask, layer: int):
-    flat = np.concatenate([t.reshape(-1) for t in net.layers[layer].param_tensors()])
-    bits = mask.layer_bits(layer)
-    return flat, bits
-
-
 def quantize_network(student: Network, mask: SparsityMask,
                      scheme: str = "uniform_affine", bits: int = 8,
                      rounding: str = "nearest", seed: int = 0,
@@ -522,7 +516,7 @@ def quantize_network(student: Network, mask: SparsityMask,
         l_scheme = overrides.get("scheme", scheme)
         l_bits = int(overrides.get("bits", bits))
         l_rounding = overrides.get("rounding", rounding)
-        flat, mask_bits = _surviving(student, mask, i)
+        flat, mask_bits = student.layers[i].flat_params(), mask.layer_bits(i)
         layer_seed = int(np.random.SeedSequence([int(seed), i]).generate_state(1)[0])
         if not (~mask_bits).any():
             # fully pruned layer: no codes, a placeholder single-entry table
@@ -536,12 +530,7 @@ def quantize_network(student: Network, mask: SparsityMask,
             codes = quantize(flat, mask_bits, spec)
             restored = np.zeros_like(flat)
             restored[~mask_bits] = dequantize(codes, spec)
-        tensors = student.layers[i].param_tensors()
-        new, off = [], 0
-        for t in tensors:
-            new.append(restored[off:off + t.size].reshape(t.shape))
-            off += t.size
-        layers[i] = student.layers[i].with_params(new)
+        layers[i] = student.layers[i].with_flat_params(restored)
         quants.append(LayerQuantization(i, spec, codes))
     qnet = Network(layers, student.input_shape)
     model = QuantizedModel(qnet, mask, quants)

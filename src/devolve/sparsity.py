@@ -1,9 +1,11 @@
 """Per-layer irrevocable sparsification masks.
 
-A mask holds one flat bitset per parameter-carrying layer, covering that
-layer's parameter tensors concatenated in declared order (row-major within
-each tensor). Bits only ever flip False -> True; merge returns a new mask, so
-masks behave as immutable values and are safe to share across workers.
+A mask holds one flat bitset per parameter-carrying layer, indexed like
+`nn.Layer.flat_params` (the layer's tensors end to end in declared order, each
+row-major); candidate indices use the same layout. This module is the only one
+that zeroes masked positions (`apply_mask`). Bits only ever flip False -> True;
+merge returns a new mask, so masks behave as immutable values and are safe to
+share across workers.
 
 DEVM layout (little-endian; `deserialize_mask` raises `MaskFormatError`, a
 `ValueError`, on anything but this canonical form):
@@ -72,15 +74,6 @@ class SparsityMask:
     def layer_bits(self, layer: int) -> np.ndarray:
         return self.bits[layer]
 
-    def tensor_bits(self, layer: int) -> list[np.ndarray]:
-        """Per-tensor views of the layer bitset, in tensor order."""
-        out = []
-        off = 0
-        for size in self.splits[layer]:
-            out.append(self.bits[layer][off:off + size])
-            off += size
-        return out
-
     def zeroed(self, layer: int | None = None) -> int:
         if layer is not None:
             return int(self.bits[layer].sum())
@@ -127,18 +120,11 @@ def apply_mask(net: Network, mask: SparsityMask) -> Network:
     """Set masked positions to exactly 0.0; all other values unchanged."""
     mask.check_compatible(net)
     layers = list(net.layers)
-    for i, sizes in mask.splits.items():
-        views = mask.tensor_bits(i)
-        tensors = net.layers[i].param_tensors()
-        new = []
-        for t, bits in zip(tensors, views):
-            if bits.any():
-                flat = t.reshape(-1).copy()
-                flat[bits] = 0.0
-                new.append(flat.reshape(t.shape))
-            else:
-                new.append(t)
-        layers[i] = net.layers[i].with_params(new)
+    for i, bits in mask.bits.items():
+        if bits.any():
+            flat = layers[i].flat_params()
+            flat[bits] = 0.0
+            layers[i] = layers[i].with_flat_params(flat)
     return Network(layers, net.input_shape)
 
 

@@ -1,4 +1,5 @@
-"""Shared builders for tests: reference densities and a small trained teacher."""
+"""Shared builders for tests: reference densities, a small trained teacher and
+one-layer nets for the layer-flat parameter layout."""
 
 import numpy as np
 
@@ -52,3 +53,22 @@ def train_blobs_teacher(seed=1, data_seed=7, n=2048, epochs=8, lr=0.2):
             grads = nn.backward(net, batch, "cross_entropy")
             net = nn.sgd_step(net, grads, lr)
     return net, ds
+
+
+LAYOUT_KINDS = ("dense", "conv2d")
+
+
+def layout_net(kind, seed=0):
+    """One-layer dense or conv2d net whose parameters are all nonzero."""
+    rng = np.random.default_rng(seed)
+    if kind == "dense":
+        return nn.Network([nn.Dense(rng.uniform(0.5, 1.5, (3, 4)),
+                                    rng.uniform(0.5, 1.5, 4))], (3,))
+    return nn.Network([nn.Conv2D(rng.uniform(0.5, 1.5, (2, 3, 2, 4)),
+                                 rng.uniform(0.5, 1.5, 4))], (4, 5, 2))
+
+
+def layout_positions(layer):
+    """Flat indices at both ends of the kernel and of the bias, and one inside."""
+    k = layer.param_tensors()[0].size
+    return [0, 5, k - 1, k, k + 3]

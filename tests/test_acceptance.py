@@ -237,6 +237,7 @@ def test_criterion_6_dominance(world):
            f"{elapsed:.0f}s")
 
 
+@pytest.mark.slow
 def test_criterion_7_end_to_end(world):
     t0 = time.monotonic()
     teacher = world["teacher"]
@@ -298,6 +299,7 @@ def test_criterion_8_compression_accounting(world):
            f"total {rep.total_ratio:.2f}x")
 
 
+@pytest.mark.slow
 def test_criterion_9_determinism(world):
     artifacts = world["artifacts"]
     for key in ("dominance", "pipeline", "compression"):

@@ -281,6 +281,31 @@ class TestRetrain:
                                    for t in out.layers[i].param_tensors()])
             assert (flat[mask.layer_bits(i)] == 0.0).all()
 
+    def test_blown_up_step_keeps_the_run(self, tmp_path):
+        # lr=1e200 overflows the first retrain step of every sweep; each
+        # retrain then keeps its input, so the run matches one without retraining
+        probe = datasets.synthetic_dataset("blobs", 64, 3, seed=1, feature_dim=8)
+        teacher = nn.build_network({"input_shape": [8], "layers": [
+            {"kind": "dense", "units": 8}, {"kind": "relu"},
+            {"kind": "dense", "units": 3}, {"kind": "softmax"}]}, 0)
+        base = dict(trials_per_cycle=4, step_fraction=0.1, target_sparsity=0.5,
+                    master_seed=0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            blown = run(teacher, probe, EvolutionConfig(retrain_epochs=2,
+                                                        retrain_lr=1e200, **base))
+        plain = run(teacher, probe, EvolutionConfig(retrain_epochs=0, **base))
+        assert blown.status == plain.status == "target_reached"
+        assert len(blown.history) == len(plain.history) > 0
+        for name, res in (("blown", blown), ("plain", plain)):
+            write_history(res.history, str(tmp_path / name))
+        assert (tmp_path / "blown").read_bytes() == (tmp_path / "plain").read_bytes()
+        assert nn.serialize_network(blown.student) == nn.serialize_network(plain.student)
+        assert math.isfinite(blown.final_divergence)
+        for i in blown.mask.bits:
+            flat = blown.student.layers[i].flat_params()
+            assert np.isfinite(flat).all()
+            assert (flat[blown.mask.layer_bits(i)] == 0.0).all()
+
 
 class TestRun:
     def test_zero_target_no_cycles(self):

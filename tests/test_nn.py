@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 from devolve import nn
 from devolve.nn import (Batch, Conv2D, Dense, MaxPool2D, Network, ReLU,
                         ShapeError, Softmax)
+from helpers import LAYOUT_KINDS, layout_net
 from oracles import (assert_gradients_close, conv2d_direct, max_pool_direct,
                      numerical_gradients)
 
@@ -210,13 +211,13 @@ class TestSgd:
         assert out.layers[0].weights[0, 0] == pytest.approx(0.95)
 
     def test_masked_position_stays_zero(self):
-        from devolve.sparsity import CandidateSet, SparsityMask, merge
+        from devolve.sparsity import CandidateSet, SparsityMask, apply_mask, merge
         net = Network([Dense(np.ones((2, 2)), np.zeros(2))], (2,))
         mask = merge(SparsityMask.empty(net), CandidateSet(0, [0]))
         stepped = net
         for _ in range(3):
             grads = [np.full((2, 2), 7.0), np.ones(2)]
-            stepped = nn.sgd_step(stepped, grads, 0.5, mask)
+            stepped = apply_mask(nn.sgd_step(stepped, grads, 0.5), mask)
             assert stepped.layers[0].weights[0, 0] == 0.0
 
     def test_descent_on_fixed_batch(self, rng):
@@ -233,6 +234,43 @@ class TestSgd:
                             "cross_entropy")
         with pytest.raises(ValueError, match="positive"):
             nn.sgd_step(net, grads, 0.0)
+
+
+class TestFlatParams:
+    @pytest.mark.parametrize("kind", LAYOUT_KINDS)
+    def test_roundtrip_bit_for_bit(self, kind):
+        layer = layout_net(kind).layers[0]
+        back = layer.with_flat_params(layer.flat_params())
+        assert type(back) is type(layer) and back.hyper() == layer.hyper()
+        for a, b in zip(layer.param_tensors(), back.param_tensors()):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("kind", LAYOUT_KINDS)
+    def test_kernel_then_bias_row_major(self, kind):
+        layer = layout_net(kind).layers[0]
+        kernel, bias = layer.param_tensors()
+        flat = layer.flat_params()
+        assert flat.shape == (kernel.size + bias.size,)
+        for k in range(flat.size):
+            want = kernel.reshape(-1)[k] if k < kernel.size else bias[k - kernel.size]
+            assert flat[k] == want
+
+    def test_fresh_copy(self):
+        layer = layout_net("conv2d").layers[0]
+        before = layer.kernel.copy()
+        layer.flat_params()[:] = 0.0
+        np.testing.assert_array_equal(layer.kernel, before)
+
+    @pytest.mark.parametrize("kind", LAYOUT_KINDS)
+    @pytest.mark.parametrize("delta", [-1, 1])
+    def test_wrong_length_rejected(self, kind, delta):
+        layer = layout_net(kind).layers[0]
+        shapes = [t.shape for t in layer.param_tensors()]
+        flat = np.zeros(layer.flat_params().size + delta)
+        with pytest.raises(ShapeError):
+            nn.unflatten(flat, shapes)
+        with pytest.raises(ShapeError):
+            layer.with_flat_params(flat)
 
 
 class TestAccuracy:

@@ -14,6 +14,7 @@ from devolve.packing import (HuffmanTable, PackedFormatError, PackedLayer,
 from devolve.quantize import QuantizationSpec, quantize_network
 from devolve.sparsity import SparsityMask
 
+from helpers import LAYOUT_KINDS, layout_net, layout_positions
 from oracles import (HuffmanOracleError, huffman_decode_bitwise,
                      huffman_encode_bitwise)
 
@@ -309,6 +310,19 @@ class TestContainer:
         x = np.random.default_rng(0).normal(size=(3, 12))
         out = nn.forward(net, x)
         assert out.shape == (3, 4)
+
+    @pytest.mark.parametrize("kind", LAYOUT_KINDS)
+    def test_unpack_zeroes_exactly_the_flat_positions(self, kind):
+        net = layout_net(kind)
+        positions = layout_positions(net.layers[0])
+        mask = sparsity.merge(SparsityMask.empty(net), sparsity.CandidateSet(0, positions))
+        model, _ = quantize_network(sparsity.apply_mask(net, mask), mask, bits=4)
+        back, back_mask = unpack_model(PackedModel.from_bytes(pack_model(model).to_bytes()))
+        np.testing.assert_array_equal(back_mask.layer_bits(0), mask.layer_bits(0))
+        kernel, bias = back.layers[0].param_tensors()
+        assert kernel.shape == net.layers[0].param_tensors()[0].shape
+        zero = np.flatnonzero(np.concatenate([kernel.reshape(-1) == 0, bias == 0]))
+        assert zero.tolist() == positions
 
     def test_crc_detects_every_probed_bit_flip(self):
         model = quantized_fixture(seed=1)

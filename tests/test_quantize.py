@@ -123,6 +123,7 @@ class TestOptimalLevels:
             lv = optimal_levels(sampled_density(2), bits)
             assert (np.diff(lv) > 0).all()
 
+    @pytest.mark.slow
     def test_eight_bit_not_above_grid_dp_reference(self):
         for seed in range(5):
             d = sampled_density(seed)

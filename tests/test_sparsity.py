@@ -6,6 +6,7 @@ from devolve import nn, sparsity
 from devolve.nn import Batch, Dense, Network
 from devolve.sparsity import (CandidateSet, SparsityMask, apply_mask, merge,
                               prunable_indices, random_mask)
+from helpers import LAYOUT_KINDS, layout_net, layout_positions
 
 
 def two_layer_net(seed=0):
@@ -55,6 +56,21 @@ class TestApplyMask:
         for a, b in zip(once.layers[0].param_tensors(),
                         twice.layers[0].param_tensors()):
             np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("kind", LAYOUT_KINDS)
+    def test_zeroes_exactly_the_flat_positions(self, kind):
+        net = layout_net(kind)
+        positions = layout_positions(net.layers[0])
+        out = apply_mask(net, merge(SparsityMask.empty(net), CandidateSet(0, positions)))
+        kernel, bias = (t.copy() for t in net.layers[0].param_tensors())
+        for k in positions:
+            if k < kernel.size:
+                kernel.reshape(-1)[k] = 0.0
+            else:
+                bias[k - kernel.size] = 0.0
+        got_kernel, got_bias = out.layers[0].param_tensors()
+        assert got_kernel.tobytes() == kernel.tobytes()
+        assert got_bias.tobytes() == bias.tobytes()
 
     def test_layout_mismatch(self):
         mask = SparsityMask.empty(two_layer_net())
@@ -153,7 +169,7 @@ class TestMaskedRetraining:
         batch = Batch(rng.normal(size=(8, 4)), rng.normal(size=(8, 2)))
         for _ in range(5):
             grads = nn.backward(student, batch, "mse")
-            student = nn.sgd_step(student, grads, 0.1, mask)
+            student = apply_mask(nn.sgd_step(student, grads, 0.1), mask)
         assert (student.layers[0].weights.reshape(-1)[[0, 6, 11, 19]] == 0.0).all()
         assert (student.layers[2].weights.reshape(-1)[[1, 5]] == 0.0).all()
 
