@@ -64,7 +64,7 @@ _SCHEMA = {
     "divergence": {"heads": list},
     "quantization": {
         "scheme": str, "bits": int, "rounding": str, "seed": int,
-        "density_bins": int, "per_layer": dict,
+        "per_layer": dict,
     },
     "eval": {"model": str, "teacher": str},
     "output": {
@@ -86,8 +86,7 @@ def _check_keys(section: dict, schema: dict, path: str):
         if isinstance(expected, dict):
             if not isinstance(value, dict):
                 raise ConfigError(f"{path}{key} must be an object")
-            if key not in ("architecture", "per_layer", "target_sparsity"):
-                _check_keys(value, expected, f"{path}{key}.")
+            _check_keys(value, expected, f"{path}{key}.")
         elif not isinstance(value, expected) or isinstance(value, bool) and expected is int:
             names = (expected.__name__ if isinstance(expected, type)
                      else "/".join(t.__name__ for t in expected))
@@ -225,10 +224,6 @@ def _load_architecture(config: dict) -> dict:
     raise ConfigError("model section needs architecture or architecture_path")
 
 
-def _out_path(config: dict, key: str) -> str:
-    return _require(config, "output", key)
-
-
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
@@ -254,7 +249,7 @@ def cmd_train(config: dict) -> int:
             batch = nn.Batch(dataset.inputs[idx], dataset.labels[idx])
             grads = nn.backward(net, batch, "cross_entropy")
             net = nn.sgd_step(net, grads, lr)
-    path = _out_path(config, "model")
+    path = _require(config, "output", "model")
     nn.save_network(net, path)
     acc = nn.accuracy(net, dataset)
     print(f"model {path}")
@@ -269,9 +264,9 @@ def cmd_sparsify(config: dict) -> int:
     cfg = _evolution_config(config)
     spec = _divergence_spec(config, int(np.prod(teacher.output_shape)))
     result = evolution.run(teacher, probe, cfg, spec)
-    nn.save_network(result.student, _out_path(config, "student"))
-    sparsity.save_mask(result.mask, _out_path(config, "mask"))
-    evolution.write_history(result.history, _out_path(config, "history"))
+    nn.save_network(result.student, _require(config, "output", "student"))
+    sparsity.save_mask(result.mask, _require(config, "output", "mask"))
+    evolution.write_history(result.history, _require(config, "output", "history"))
     print(f"status {result.status}")
     print(f"cycles {len(result.history)}")
     print(f"sparsity {sparsity.sparsity(result.mask):.6f}")
@@ -306,14 +301,14 @@ def cmd_quantize(config: dict) -> int:
         dataset=dataset if dataset.labels is not None else None,
         teacher_outputs=teacher_outputs, probe=probe, div_spec=div_spec,
     )
-    nn.save_network(model.network, _out_path(config, "quantized"))
+    nn.save_network(model.network, _require(config, "output", "quantized"))
     luts = {"layers": [
         {"layer": lq.layer, "scheme": lq.spec.scheme, "bits": lq.spec.bits,
          "rounding": lq.spec.rounding, "seed": lq.spec.seed,
          "degenerate": lq.spec.degenerate, "levels": lq.spec.levels.tolist()}
         for lq in model.layers
     ]}
-    with open(_out_path(config, "luts"), "w") as f:
+    with open(_require(config, "output", "luts"), "w") as f:
         json.dump(luts, f, sort_keys=True)
     for key in sorted(report):
         print(f"{key} {report[key]:.6f}")
@@ -343,7 +338,7 @@ def cmd_pack(config: dict) -> int:
         quants.append(quantize.LayerQuantization(i, spec, codes))
     packed = packing.pack_model(quantize.QuantizedModel(qnet, mask, quants))
     data = packed.to_bytes()
-    path = _out_path(config, "packed")
+    path = _require(config, "output", "packed")
     with open(path, "wb") as f:
         f.write(data)
     report = packing.compression_report(qnet, packed)
@@ -357,7 +352,7 @@ def cmd_unpack(config: dict) -> int:
     with open(_require(config, "output", "packed"), "rb") as f:
         packed = packing.PackedModel.from_bytes(f.read())
     net, mask = packing.unpack_model(packed)
-    path = _out_path(config, "restored")
+    path = _require(config, "output", "restored")
     nn.save_network(net, path)
     print(f"restored {path}")
     print(f"sparsity {sparsity.sparsity(mask):.6f}")

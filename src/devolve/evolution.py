@@ -1,12 +1,15 @@
 """Evolutionary sparsification cycle.
 
 Each cycle sweeps the in-scope layers: propose random candidate index sets,
-tentatively zero each candidate on top of the committed mask, measure the
-student's output divergence from frozen teacher outputs on a probe set, commit
-the least-divergent candidate irrevocably, then retrain the survivors toward
-the teacher. Candidates are sampled over all prunable indices (including ones
-already zeroed), so effective steps shrink as a layer fills up and the search
-gets more cautious at high sparsity.
+apply the committed mask to the student once, then in each trial zero only
+that trial's candidate on a copy of the masked tail (the layers from the
+candidate layer on; the front runs once per sweep) and measure the student's
+output divergence from frozen teacher outputs on a probe set. The
+least-divergent candidate is committed irrevocably, then the survivors are
+retrained toward the teacher by SGD through `nn.value_and_grads`. Candidates
+are sampled over all prunable indices (including ones already zeroed), so
+effective steps shrink as a layer fills up and the search gets more cautious
+at high sparsity.
 
 Every trial draws from its own RNG stream keyed by (master_seed, cycle, layer,
 trial), so histories replay bit-identically regardless of evaluation order or
@@ -24,6 +27,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import nn
+from .datasets import ProbeSet
 from .nn import Network
 from .sparsity import CandidateSet, SparsityMask, apply_mask, merge, prunable_indices, sparsity
 
@@ -158,8 +162,8 @@ def _trial_rng(master_seed: int, cycle: int, layer: int, trial: int):
     )
 
 
-def propose_candidates(net: Network, mask: SparsityMask, layer: int,
-                       cfg: EvolutionConfig, cycle: int) -> list[CandidateSet]:
+def propose_candidates(net: Network, layer: int, cfg: EvolutionConfig,
+                       cycle: int) -> list[CandidateSet]:
     """One candidate per trial, each of nominal size
     ceil(step_fraction * layer parameter count), sampled without replacement
     over all prunable indices of the layer (already-zeroed ones included)."""
@@ -177,54 +181,38 @@ def propose_candidates(net: Network, mask: SparsityMask, layer: int,
     return out
 
 
-def evaluate_candidate(masked_student: Network, mask: SparsityMask, cand: CandidateSet,
-                       teacher_outputs: np.ndarray, probe,
+def evaluate_candidate(student: Network, cand: CandidateSet,
+                       teacher_outputs: np.ndarray, inputs: np.ndarray,
                        spec: DivergenceSpec) -> float:
-    """Divergence with the candidate's layer zeroed at mask plus candidate.
-    Only that layer is masked here; every other layer of `masked_student` is
-    used as it is. So the mask may prune nothing outside the candidate's
-    layer (ValueError otherwise): apply the rest of it to the student first,
-    as evaluate_trials does. The student is never modified: the touched layer
-    gets fresh tensors on a shallow copy."""
-    for layer, bits in mask.bits.items():
-        if layer != cand.layer and bits.any():
-            raise ValueError(
-                f"mask prunes layer {layer}, outside candidate layer {cand.layer}; "
-                f"apply it to the student and pass only layer {cand.layer}'s bits"
-            )
-    layer_obj = masked_student.layers[cand.layer]
-    flat = layer_obj.flat_params()
-    flat[mask.layer_bits(cand.layer)] = 0.0
+    """Divergence of `student` on `inputs` with the candidate's indices
+    zeroed; nothing else is masked. The student is never modified: the
+    candidate's layer gets fresh tensors on a shallow copy."""
+    layer = student.layers[cand.layer]
+    flat = layer.flat_params()
     flat[cand.indices] = 0.0
-    scratch = masked_student.replace_layer(cand.layer, layer_obj.with_flat_params(flat))
-    inputs = probe.inputs if hasattr(probe, "inputs") else probe
-    out = nn.forward(scratch, inputs)
-    return divergence(out, teacher_outputs, spec)
+    scratch = student.replace_layer(cand.layer, layer.with_flat_params(flat))
+    return divergence(nn.forward(scratch, inputs), teacher_outputs, spec)
 
 
 def evaluate_trials(student: Network, mask: SparsityMask,
                     candidates: Sequence[CandidateSet],
-                    teacher_outputs: np.ndarray, probe, spec: DivergenceSpec,
+                    teacher_outputs: np.ndarray, probe: ProbeSet, spec: DivergenceSpec,
                     workers: int = 1) -> np.ndarray:
-    """Divergence per candidate; parallel execution is bit-identical to
-    sequential because trials are independent and results keep trial order.
+    """Divergence per candidate, each zeroed on top of the mask; parallel
+    execution is bit-identical to sequential because trials are independent
+    and results keep trial order.
 
     The mask is applied once, and the layers in front of the first candidate
     layer run once on the probe: every trial evaluates only the tail of the
-    network from that layer on, with its candidate and its layer's mask bits
-    re-indexed to the tail."""
+    network from that layer on, with its candidate re-indexed to the tail."""
     masked = apply_mask(student, mask)
     front = min((c.layer for c in candidates), default=0)
-    inputs = probe.inputs if hasattr(probe, "inputs") else probe
-    acts = nn.forward(Network(masked.layers[:front], masked.input_shape), inputs)
+    acts = nn.forward(Network(masked.layers[:front], masked.input_shape), probe.inputs)
     tail = Network(masked.layers[front:], acts.shape[1:])
     tail_cands = [CandidateSet(c.layer - front, c.indices) for c in candidates]
-    layer_masks = {c.layer: SparsityMask({c.layer: mask.bits[c.layer + front]},
-                                         {c.layer: mask.splits[c.layer + front]})
-                   for c in tail_cands}
 
     def trial(cand):
-        return evaluate_candidate(tail, layer_masks[cand.layer], cand, teacher_outputs, acts, spec)
+        return evaluate_candidate(tail, cand, teacher_outputs, acts, spec)
 
     if workers <= 1 or len(candidates) < 2:
         divs = [trial(c) for c in tail_cands]
@@ -258,14 +246,14 @@ def select_and_commit(cycle: int, layer: int, candidates: Sequence[CandidateSet]
 
 
 def retrain(student: Network, mask: SparsityMask, teacher_outputs: np.ndarray,
-            probe, cfg: EvolutionConfig, spec: DivergenceSpec) -> Network:
+            probe: ProbeSet, cfg: EvolutionConfig, spec: DivergenceSpec) -> Network:
     """SGD on the divergence toward the teacher outputs; masked positions stay
     zero. Keeps the best parameters seen, so the result never diverges more
     than the input network. A step or epoch that goes non-finite ends the
     retraining, and the best network so far stands."""
     if cfg.retrain_epochs <= 0:
         return student
-    inputs = probe.inputs if hasattr(probe, "inputs") else probe
+    inputs = probe.inputs
     n = inputs.shape[0]
     bs = min(cfg.retrain_batch_size, n)
     net = apply_mask(student, mask)
@@ -275,9 +263,9 @@ def retrain(student: Network, mask: SparsityMask, teacher_outputs: np.ndarray,
         for _ in range(cfg.retrain_epochs):
             for lo in range(0, n, bs):
                 hi = min(lo + bs, n)
-                out, ctxs = nn._forward_with_ctx(net, inputs[lo:hi])
-                _, grad_out = divergence_grad(out, teacher_outputs[lo:hi], spec)
-                grads = nn._backprop(net, ctxs, grad_out)
+                target = teacher_outputs[lo:hi]
+                _, grads = nn.value_and_grads(
+                    net, inputs[lo:hi], lambda out: divergence_grad(out, target, spec))
                 net = apply_mask(nn.sgd_step(net, grads, cfg.retrain_lr), mask)
             div = divergence(nn.forward(net, inputs), teacher_outputs, spec)
             if not math.isfinite(div):
@@ -290,7 +278,7 @@ def retrain(student: Network, mask: SparsityMask, teacher_outputs: np.ndarray,
     return best_net
 
 
-def run(teacher: Network, probe, cfg: EvolutionConfig,
+def run(teacher: Network, probe: ProbeSet, cfg: EvolutionConfig,
         spec: Optional[DivergenceSpec] = None) -> RunResult:
     """Full evolution loop from a frozen teacher to a sparsified student.
 
@@ -332,7 +320,7 @@ def run(teacher: Network, probe, cfg: EvolutionConfig,
             break
         snapshot = (student, mask, len(history), final_div)
         for layer in workable:
-            candidates = propose_candidates(student, mask, layer, cfg, cycle)
+            candidates = propose_candidates(student, layer, cfg, cycle)
             divs = evaluate_trials(student, mask, candidates, teacher_outputs,
                                    probe, spec, cfg.workers)
             mask, record = select_and_commit(cycle, layer, candidates, divs, mask)

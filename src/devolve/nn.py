@@ -481,20 +481,20 @@ def _forward_with_ctx(net: Network, inputs: np.ndarray):
     return x, ctxs
 
 
-def forward(net: Network, batch) -> np.ndarray:
-    """Run the network on a batch (or a bare input array)."""
-    inputs = batch.inputs if isinstance(batch, Batch) else batch
-    out, _ = _forward_with_ctx(net, inputs)
-    return out
+def forward(net: Network, inputs: np.ndarray) -> np.ndarray:
+    """Run the network on a stack of inputs."""
+    return _forward_with_ctx(net, inputs)[0]
 
 
-def _backprop(net: Network, ctxs, grad_out: np.ndarray) -> list[np.ndarray]:
+def value_and_grads(net: Network, inputs: np.ndarray, loss):
+    """(value, one gradient per parameter tensor) of `loss(outputs)`, which
+    returns (value, d value / d outputs)."""
+    out, ctxs = _forward_with_ctx(net, inputs)
+    value, g = loss(out)
     grads: list[list[np.ndarray]] = [[] for _ in net.layers]
-    g = grad_out
     for i in range(len(net.layers) - 1, -1, -1):
-        g, pg = net.layers[i].grads(ctxs[i], g)
-        grads[i] = pg
-    return [t for pg in grads for t in pg]
+        g, grads[i] = net.layers[i].grads(ctxs[i], g)
+    return value, [t for pg in grads for t in pg]
 
 
 def mse_loss(outputs: np.ndarray, targets: np.ndarray):
@@ -526,12 +526,8 @@ def loss_and_grads(net: Network, batch: Batch, loss_kind: str):
         raise ValueError(f"unknown loss kind {loss_kind!r}")
     if batch.targets is None:
         raise ValueError(f"{loss_kind} loss requires batch targets")
-    out, ctxs = _forward_with_ctx(net, batch.inputs)
-    if loss_kind == "mse":
-        value, grad_out = mse_loss(out, batch.targets)
-    else:
-        value, grad_out = cross_entropy_loss(out, batch.targets)
-    return value, _backprop(net, ctxs, grad_out)
+    loss = mse_loss if loss_kind == "mse" else cross_entropy_loss
+    return value_and_grads(net, batch.inputs, lambda out: loss(out, batch.targets))
 
 
 def backward(net: Network, batch: Batch, loss_kind: str) -> list[np.ndarray]:

@@ -98,6 +98,8 @@ class Density:
             vals.append(max(hb, f))
         self._nodes = np.asarray(nodes)
         self._node_heights = np.asarray(vals)
+        seg = np.diff(self._nodes) * (self._node_heights[:-1] + self._node_heights[1:]) / 2.0
+        self._cum = np.concatenate(([0.0], np.cumsum(seg)))
 
     @classmethod
     def from_samples(cls, values: np.ndarray, bins: int = 256) -> "Density":
@@ -114,11 +116,8 @@ class Density:
     def support(self) -> tuple[float, float]:
         return float(self.edges[0]), float(self.edges[-1])
 
-    def pdf(self, w: float) -> float:
-        """Scalar evaluation; clamped outside the support."""
-        return float(np.interp(w, self._nodes, self._node_heights))
-
     def pdf_array(self, w: np.ndarray) -> np.ndarray:
+        """Density at each point of w; clamped outside the support."""
         return np.interp(w, self._nodes, self._node_heights)
 
     def breakpoints(self) -> np.ndarray:
@@ -130,31 +129,12 @@ class Density:
         start to w; vectorized."""
         nodes = self._nodes
         heights = self._node_heights
-        if not hasattr(self, "_cum"):
-            seg = np.diff(nodes) * (heights[:-1] + heights[1:]) / 2.0
-            self._cum = np.concatenate(([0.0], np.cumsum(seg)))
         w = np.clip(np.asarray(w, dtype=np.float64), nodes[0], nodes[-1])
         j = np.clip(np.searchsorted(nodes, w, side="right") - 1, 0, nodes.size - 2)
         return self._cum[j] + (w - nodes[j]) * (heights[j] + self.pdf_array(w)) / 2.0
 
     def mass(self, a, b) -> np.ndarray:
         return self.mass_to(b) - self.mass_to(a)
-
-    def inverse_mass(self, q) -> np.ndarray:
-        """Position x with mass_to(x) == q; vectorized, exact per linear
-        piece (quadratic inversion, cancellation-safe root)."""
-        self.mass_to(self._nodes[0])  # ensure the cumulative table exists
-        nodes = self._nodes
-        heights = self._node_heights
-        cum = self._cum
-        q = np.clip(np.asarray(q, dtype=np.float64), 0.0, cum[-1])
-        j = np.clip(np.searchsorted(cum, q, side="right") - 1, 0, nodes.size - 2)
-        dq = q - cum[j]
-        h = heights[j]
-        s = (heights[j + 1] - heights[j]) / (nodes[j + 1] - nodes[j])
-        disc = np.maximum(h * h + 2.0 * s * dq, 0.0)
-        t = 2.0 * dq / (h + np.sqrt(disc))
-        return nodes[j] + t
 
 
 def uniform_density(lo: float, hi: float, bins: int = 16) -> Density:
@@ -420,8 +400,7 @@ class QuantizationSpec:
 
 
 def build_spec(values: np.ndarray, scheme: str, bits: int,
-               rounding: str = "nearest", seed: int = 0,
-               density_bins: int = 256) -> QuantizationSpec:
+               rounding: str = "nearest", seed: int = 0) -> QuantizationSpec:
     """Level table for a concrete set of surviving weights."""
     values = np.asarray(values, dtype=np.float64).reshape(-1)
     if values.size == 0:
@@ -438,7 +417,7 @@ def build_spec(values: np.ndarray, scheme: str, bits: int,
     if scheme in ("uniform_scale", "uniform_affine"):
         levels = uniform_levels(w_min, w_max, bits, scheme)
     elif scheme == "optimal_density":
-        density = Density.from_samples(values, density_bins)
+        density = Density.from_samples(values)
         levels = optimal_levels(density, bits)
     else:
         raise ValueError(f"unknown scheme {scheme!r}")

@@ -17,12 +17,13 @@ from devolve import nn
 # ---------------------------------------------------------------------------
 
 def numerical_gradients(net, batch, loss_kind, h=1e-5):
-    """Central-difference gradient for every parameter tensor (mutates tensors
-    in place temporarily)."""
+    """Central-difference gradient of a batch loss for every parameter tensor."""
+    return central_differences(net, lambda: nn.loss_and_grads(net, batch, loss_kind)[0], h)
 
-    def loss():
-        return nn.loss_and_grads(net, batch, loss_kind)[0]
 
+def central_differences(net, loss, h=1e-5):
+    """Central-difference gradient of `loss()`, a scalar that reads `net`, for
+    every parameter tensor (mutates tensors in place temporarily)."""
     grads = []
     for i, layer in enumerate(net.layers):
         for t in layer.param_tensors():

@@ -58,6 +58,12 @@ class TestValidation:
         with pytest.raises(ConfigError, match="de.mutation_rate"):
             validate_config({"master_seed": 1, "de": {"mutation_rate": 0.1}})
 
+    def test_density_bins_rejected(self):
+        # the level tables always histogram 256 bins; the key set nothing
+        with pytest.raises(ConfigError, match="quantization.density_bins"):
+            validate_config({"master_seed": 1,
+                             "quantization": {"density_bins": 256}})
+
     def test_type_mismatch(self):
         with pytest.raises(ConfigError, match="must be int"):
             validate_config({"master_seed": "one"})

@@ -13,6 +13,7 @@ from devolve.evolution import (DivergenceSpec, EvolutionConfig,
 from devolve.sparsity import CandidateSet, SparsityMask, apply_mask, merge
 
 from helpers import train_blobs_teacher
+from oracles import assert_gradients_close, central_differences
 
 
 def tiny_teacher(seed=0):
@@ -49,7 +50,7 @@ class TestPropose:
         net = tiny_teacher()
         cfg = EvolutionConfig(trials_per_cycle=4, step_fraction=0.05,
                               master_seed=0)
-        cands = propose_candidates(net, SparsityMask.empty(net), 0, cfg, 0)
+        cands = propose_candidates(net, 0, cfg, 0)
         assert len(cands) == 4
         # layer 0 has 6*8+8 = 56 params -> ceil(0.05*56) = 3
         assert all(c.size == 3 for c in cands)
@@ -57,11 +58,11 @@ class TestPropose:
     def test_deterministic_per_key(self):
         net = tiny_teacher()
         cfg = EvolutionConfig(trials_per_cycle=2, master_seed=9)
-        a = propose_candidates(net, SparsityMask.empty(net), 0, cfg, 5)
-        b = propose_candidates(net, SparsityMask.empty(net), 0, cfg, 5)
+        a = propose_candidates(net, 0, cfg, 5)
+        b = propose_candidates(net, 0, cfg, 5)
         for x, y in zip(a, b):
             np.testing.assert_array_equal(x.indices, y.indices)
-        c = propose_candidates(net, SparsityMask.empty(net), 0, cfg, 6)
+        c = propose_candidates(net, 0, cfg, 6)
         assert any((x.indices != y.indices).any() for x, y in zip(a, c))
 
     def test_step_too_large(self):
@@ -69,7 +70,7 @@ class TestPropose:
         cfg = EvolutionConfig(step_fraction=1.0, master_seed=0)
         # nominal covers biases too, exceeding the 48 prunable weights
         with pytest.raises(ValueError, match="prunable"):
-            propose_candidates(net, SparsityMask.empty(net), 0, cfg, 0)
+            propose_candidates(net, 0, cfg, 0)
 
     def test_samples_cover_already_zeroed(self):
         # expected new zeros per candidate ~ (1 - sparsity) * nominal
@@ -82,7 +83,7 @@ class TestPropose:
         mask.bits[0][zeroed] = True
         cfg = EvolutionConfig(trials_per_cycle=300, step_fraction=0.1,
                               master_seed=7)
-        cands = propose_candidates(net, mask, 0, cfg, 0)
+        cands = propose_candidates(net, 0, cfg, 0)
         nominal = cands[0].size
         new = np.mean([(~mask.layer_bits(0)[c.indices]).sum() for c in cands])
         expected = nominal * (1 - 0.9)
@@ -141,9 +142,8 @@ class TestEvaluate:
         net = tiny_teacher()
         probe = tiny_probe()
         tout = nn.forward(net, probe.inputs)
-        d = evaluate_candidate(net, SparsityMask.empty(net),
-                               CandidateSet(0, np.empty(0, dtype=np.int64)),
-                               tout, probe, DivergenceSpec.whole_output(3))
+        d = evaluate_candidate(net, CandidateSet(0, np.empty(0, dtype=np.int64)),
+                               tout, probe.inputs, DivergenceSpec.whole_output(3))
         assert d == 0.0
 
     def test_student_not_modified(self):
@@ -151,9 +151,8 @@ class TestEvaluate:
         probe = tiny_probe()
         tout = nn.forward(net, probe.inputs)
         before = net.layers[0].weights.copy()
-        evaluate_candidate(net, SparsityMask.empty(net),
-                           CandidateSet(0, np.arange(10, dtype=np.int64)),
-                           tout, probe, DivergenceSpec.whole_output(3))
+        evaluate_candidate(net, CandidateSet(0, np.arange(10, dtype=np.int64)),
+                           tout, probe.inputs, DivergenceSpec.whole_output(3))
         np.testing.assert_array_equal(net.layers[0].weights, before)
 
     def test_parallel_matches_serial(self):
@@ -162,7 +161,7 @@ class TestEvaluate:
         tout = nn.forward(net, probe.inputs)
         cfg = EvolutionConfig(trials_per_cycle=16, step_fraction=0.05,
                               master_seed=4)
-        cands = propose_candidates(net, SparsityMask.empty(net), 0, cfg, 0)
+        cands = propose_candidates(net, 0, cfg, 0)
         spec = DivergenceSpec.whole_output(3)
         serial = evaluate_trials(net, SparsityMask.empty(net), cands, tout,
                                  probe, spec, workers=1)
@@ -170,30 +169,17 @@ class TestEvaluate:
                                    probe, spec, workers=4)
         assert serial.tobytes() == threaded.tobytes()
 
-    def test_mask_outside_candidate_layer_rejected(self):
-        # evaluate_candidate masks only the candidate's layer, so a mask that
-        # prunes another layer of an unmasked student must not be ignored
-        net = tiny_teacher()
+    def test_zeroes_only_the_candidate(self):
+        # the student is used as given: only the candidate's indices are zeroed
+        teacher = tiny_teacher()
+        net = apply_mask(teacher, sparsity.random_mask(teacher, 0.3, seed=5))
         probe = tiny_probe()
-        tout = nn.forward(net, probe.inputs)
-        mask = sparsity.random_mask(net, 0.3, seed=5)
-        with pytest.raises(ValueError, match="outside candidate layer 2"):
-            evaluate_candidate(net, mask, CandidateSet(2, [0, 1]), tout, probe,
-                               DivergenceSpec.whole_output(3))
-
-    def test_candidate_layer_mask_on_unmasked_student(self):
-        net = tiny_teacher()
-        probe = tiny_probe()
-        tout = nn.forward(net, probe.inputs)
+        tout = nn.forward(teacher, probe.inputs)
         spec = DivergenceSpec.whole_output(3)
-        full = sparsity.random_mask(net, 0.3, seed=5)
-        mask = SparsityMask({2: full.bits[2]}, {2: full.splits[2]})
         cand = CandidateSet(2, [0, 1])
-        got = evaluate_candidate(net, mask, cand, tout, probe, spec)
-        only = SparsityMask.empty(net)
-        only.bits[2] = full.bits[2].copy()
-        expected = divergence(nn.forward(apply_mask(net, merge(only, cand)), probe.inputs),
-                              tout, spec)
+        got = evaluate_candidate(net, cand, tout, probe.inputs, spec)
+        expected = divergence(nn.forward(apply_mask(net, merge(SparsityMask.empty(net), cand)),
+                                         probe.inputs), tout, spec)
         assert got == expected
 
     @pytest.mark.parametrize("workers", [1, 2])
@@ -205,7 +191,7 @@ class TestEvaluate:
         tout = nn.forward(net, probe.inputs)
         mask = sparsity.random_mask(net, 0.3, seed=5, include_biases=False)
         cfg = EvolutionConfig(trials_per_cycle=6, step_fraction=0.1, master_seed=2)
-        cands = propose_candidates(net, mask, 4, cfg, 0)
+        cands = propose_candidates(net, 4, cfg, 0)
         spec = DivergenceSpec.whole_output(3)
         got = evaluate_trials(net, mask, cands, tout, probe, spec, workers)
         expected = [divergence(nn.forward(apply_mask(net, merge(mask, c)), probe.inputs),
@@ -263,6 +249,19 @@ class TestRetrain:
                       DivergenceSpec.whole_output(3))
         assert divergence(nn.forward(out, probe.inputs), tout,
                           DivergenceSpec.whole_output(3)) == 0.0
+
+    def test_divergence_gradient_matches_central_differences(self):
+        # the parameter gradient that retrain descends, with two heads
+        net = tiny_conv_teacher(3)
+        x = conv_probe(6).inputs
+        t = nn.forward(tiny_conv_teacher(4), x)
+        spec = DivergenceSpec([Head(0, 2, divisor=2.0, weight=0.7),
+                               Head(2, 3, weight=0.3)])
+        value, grads = nn.value_and_grads(
+            net, x, lambda out: evolution.divergence_grad(out, t, spec))
+        assert value == divergence(nn.forward(net, x), t, spec)
+        numeric = central_differences(net, lambda: divergence(nn.forward(net, x), t, spec))
+        assert_gradients_close(grads, numeric)
 
     def test_masked_mlp_improves(self):
         net = tiny_teacher(7)

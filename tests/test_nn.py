@@ -90,6 +90,18 @@ def test_softmax_simplex_property(seed):
     np.testing.assert_allclose(out.sum(axis=1), 1.0, atol=1e-12)
 
 
+CONV_ARCH = {"input_shape": [6, 6, 1], "layers": [
+    {"kind": "conv2d", "filters": 2, "kernel": 3, "stride": 1, "padding": "same"},
+    {"kind": "leaky_relu", "slope": 0.2},
+    {"kind": "max_pool", "pool": 2},
+    {"kind": "conv2d", "filters": 2, "kernel": 2, "padding": "valid"},
+    {"kind": "relu"},
+    {"kind": "flatten"},
+    {"kind": "dense", "units": 3},
+    {"kind": "softmax"},
+]}
+
+
 class TestBackward:
     def test_zero_loss_zero_grads(self):
         net = Network([Dense(np.eye(2), np.zeros(2))], (2,))
@@ -127,18 +139,7 @@ class TestBackward:
     @pytest.mark.parametrize("seed", range(20))
     def test_gradcheck_all_layer_kinds(self, seed):
         rng = np.random.default_rng(seed)
-        arch = {"input_shape": [6, 6, 1], "layers": [
-            {"kind": "conv2d", "filters": 2, "kernel": 3, "stride": 1,
-             "padding": "same"},
-            {"kind": "leaky_relu", "slope": 0.2},
-            {"kind": "max_pool", "pool": 2},
-            {"kind": "conv2d", "filters": 2, "kernel": 2, "padding": "valid"},
-            {"kind": "relu"},
-            {"kind": "flatten"},
-            {"kind": "dense", "units": 3},
-            {"kind": "softmax"},
-        ]}
-        net = nn.build_network(arch, seed)
+        net = nn.build_network(CONV_ARCH, seed)
         x = rng.normal(size=(2, 6, 6, 1))
         for loss_kind, targets in (
             ("mse", rng.normal(size=(2, 3))),
@@ -148,6 +149,20 @@ class TestBackward:
             analytic = nn.backward(net, batch, loss_kind)
             numeric = numerical_gradients(net, batch, loss_kind)
             assert_gradients_close(analytic, numeric)
+
+    def test_value_and_grads_is_loss_and_grads(self, rng):
+        net = nn.build_network(CONV_ARCH, 1)
+        x = rng.normal(size=(4, 6, 6, 1))
+        for loss, targets, kind in (
+            (nn.mse_loss, rng.normal(size=(4, 3)), "mse"),
+            (nn.cross_entropy_loss, rng.integers(0, 3, size=4), "cross_entropy"),
+        ):
+            value, grads = nn.value_and_grads(net, x, lambda out: loss(out, targets))
+            ref_value, ref_grads = nn.loss_and_grads(net, Batch(x, targets), kind)
+            assert value == ref_value
+            assert len(grads) == len(ref_grads)
+            for g, r in zip(grads, ref_grads):
+                assert g.tobytes() == r.tobytes()
 
     def test_conv_stride_two_gradcheck(self, rng):
         arch = {"input_shape": [5, 5, 2], "layers": [
