@@ -239,6 +239,10 @@ def cmd_train(config: dict) -> int:
     epochs = train_cfg.get("epochs", 0)
     lr = train_cfg.get("lr", 0.1)
     bs = train_cfg.get("batch_size", 64)
+    if not (math.isfinite(lr) and lr > 0):
+        raise ConfigError(f"train.lr must be positive and finite, got {lr}")
+    if bs < 1:
+        raise ConfigError(f"train.batch_size must be >= 1, got {bs}")
     n = dataset.size
     for epoch in range(epochs):
         rng = np.random.default_rng(
@@ -248,10 +252,10 @@ def cmd_train(config: dict) -> int:
             idx = order[lo:lo + bs]
             batch = nn.Batch(dataset.inputs[idx], dataset.labels[idx])
             grads = nn.backward(net, batch, "cross_entropy")
-            net = nn.sgd_step(net, grads, lr)
+            nn.sgd_step(net, grads, lr)
     path = _require(config, "output", "model")
+    acc = nn.accuracy(net, dataset)  # raises before a blown-up model is saved
     nn.save_network(net, path)
-    acc = nn.accuracy(net, dataset)
     print(f"model {path}")
     print(f"accuracy {acc:.4f}")
     return 0

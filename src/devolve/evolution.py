@@ -6,10 +6,11 @@ that trial's candidate on a copy of the masked tail (the layers from the
 candidate layer on; the front runs once per sweep) and measure the student's
 output divergence from frozen teacher outputs on a probe set. The
 least-divergent candidate is committed irrevocably, then the survivors are
-retrained toward the teacher by SGD through `nn.value_and_grads`. Candidates
-are sampled over all prunable indices (including ones already zeroed), so
-effective steps shrink as a layer fills up and the search gets more cautious
-at high sparsity.
+retrained toward the teacher by SGD through `nn.value_and_grads`, on one copy
+that `retrain` owns, with masked gradients zeroed so pruned positions stay
+0.0. Candidates are sampled over all prunable indices (including ones already
+zeroed), so effective steps shrink as a layer fills up and the search gets
+more cautious at high sparsity.
 
 Every trial draws from its own RNG stream keyed by (master_seed, cycle, layer,
 trial), so histories replay bit-identically regardless of evaluation order or
@@ -115,6 +116,10 @@ class EvolutionConfig:
         for t in targets:
             if not 0.0 <= t <= 1.0:
                 raise ValueError(f"target sparsity must be in [0, 1], got {t}")
+        if not (math.isfinite(self.retrain_lr) and self.retrain_lr > 0):
+            raise ValueError(f"retrain_lr must be positive and finite, got {self.retrain_lr}")
+        if self.retrain_batch_size < 1:
+            raise ValueError("retrain_batch_size must be >= 1")
 
     def target_for(self, layer: int) -> float:
         if isinstance(self.target_sparsity, dict):
@@ -249,15 +254,21 @@ def retrain(student: Network, mask: SparsityMask, teacher_outputs: np.ndarray,
             probe: ProbeSet, cfg: EvolutionConfig, spec: DivergenceSpec) -> Network:
     """SGD on the divergence toward the teacher outputs; masked positions stay
     zero. Keeps the best parameters seen, so the result never diverges more
-    than the input network. A step or epoch that goes non-finite ends the
-    retraining, and the best network so far stands."""
+    than the input network, which is never modified. A step or epoch that goes
+    non-finite ends the retraining (the next forward pass raises), and the best
+    network so far stands."""
     if cfg.retrain_epochs <= 0:
         return student
     inputs = probe.inputs
     n = inputs.shape[0]
     bs = min(cfg.retrain_batch_size, n)
-    net = apply_mask(student, mask)
-    best_net = net
+    best_net = apply_mask(student, mask)
+    net = best_net.copy()  # the one network stepped in place
+    ones = Network([l.with_flat_params(np.ones(l.flat_params().size)) for l in net.layers],
+                   net.input_shape)
+    # 1.0 where a parameter survives, 0.0 where it is masked: masked gradients
+    # are zero, so masked positions stay exactly 0.0 through every step
+    keep = apply_mask(ones, mask).param_tensors()
     best_div = divergence(nn.forward(net, inputs), teacher_outputs, spec)
     try:
         for _ in range(cfg.retrain_epochs):
@@ -266,13 +277,13 @@ def retrain(student: Network, mask: SparsityMask, teacher_outputs: np.ndarray,
                 target = teacher_outputs[lo:hi]
                 _, grads = nn.value_and_grads(
                     net, inputs[lo:hi], lambda out: divergence_grad(out, target, spec))
-                net = apply_mask(nn.sgd_step(net, grads, cfg.retrain_lr), mask)
+                nn.sgd_step(net, [g * k for g, k in zip(grads, keep)], cfg.retrain_lr)
             div = divergence(nn.forward(net, inputs), teacher_outputs, spec)
             if not math.isfinite(div):
                 break
             if div < best_div:
                 best_div = div
-                best_net = net
+                best_net = net.copy()
     except FloatingPointError:
         pass
     return best_net
@@ -326,8 +337,7 @@ def run(teacher: Network, probe: ProbeSet, cfg: EvolutionConfig,
             mask, record = select_and_commit(cycle, layer, candidates, divs, mask)
             student = apply_mask(student, mask)
             history.append(record)
-        if cfg.retrain_epochs > 0:
-            student = retrain(student, mask, teacher_outputs, probe, cfg, spec)
+        student = retrain(student, mask, teacher_outputs, probe, cfg, spec)
         final_div = divergence(nn.forward(student, probe.inputs), teacher_outputs, spec)
         for i in range(snapshot[2], len(history)):
             history[i].retrain_divergence = final_div

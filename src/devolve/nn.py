@@ -2,8 +2,8 @@
 
 Supports dense and small convolutional classifiers: forward pass, exact
 analytic gradients, plain SGD, and a versioned binary serialization format
-("DEVN"). Everything is seeded and bit-reproducible; networks are treated as
-immutable values during evaluation (updates return new networks).
+("DEVN"). Everything is seeded and bit-reproducible. Evaluation never modifies
+a network; `sgd_step` updates the parameter arrays of the network it is given.
 
 This module owns the layer-flat parameter layout: `Layer.flat_params` lays a
 layer's parameter tensors end to end in declared order, each row-major, and
@@ -11,7 +11,8 @@ layer's parameter tensors end to end in declared order, each row-major, and
 indices, quantizer codes and DEVP payloads all index that layout.
 
 DEVN layout (little-endian, no checksum; `deserialize_network` raises
-`ModelFormatError`, a `ValueError`, on malformed input or trailing bytes):
+`ModelFormatError`, a `ValueError`, on malformed input, non-finite values or
+trailing bytes):
 
     magic "DEVN" | version u16 | input ndim u8 + dims u32... | layer count u16
     per layer: kind u8 | hyperparameters (conv2d: stride u8, same flag u8;
@@ -66,9 +67,6 @@ class Layer:
     kind = "base"
 
     def param_tensors(self) -> list[np.ndarray]:
-        return []
-
-    def param_names(self) -> list[str]:
         return []
 
     def with_params(self, tensors: Sequence[np.ndarray]) -> "Layer":
@@ -129,9 +127,6 @@ class Dense(Layer):
     def param_tensors(self):
         return [self.weights, self.bias]
 
-    def param_names(self):
-        return ["weights", "bias"]
-
     def with_params(self, tensors):
         w, b = tensors
         return Dense(w, b)
@@ -185,9 +180,6 @@ class Conv2D(Layer):
 
     def param_tensors(self):
         return [self.kernel, self.bias]
-
-    def param_names(self):
-        return ["weights", "bias"]
 
     def with_params(self, tensors):
         k, b = tensors
@@ -437,9 +429,12 @@ class Network:
                 raise ShapeError(f"layer {i} ({layer.kind}): {e}") from None
         self.output_shape = shape
 
+    def param_tensors(self) -> list[np.ndarray]:
+        """Every parameter tensor, layer by layer (the order of gradients)."""
+        return [t for layer in self.layers for t in layer.param_tensors()]
+
     def parameter_count(self) -> int:
-        return sum(t.size for i, layer in enumerate(self.layers)
-                   for t in layer.param_tensors())
+        return sum(t.size for t in self.param_tensors())
 
     def layer_param_count(self, layer_idx: int) -> int:
         return sum(t.size for t in self.layers[layer_idx].param_tensors())
@@ -458,11 +453,6 @@ class Network:
         return Network(layers, self.input_shape)
 
 
-def _check_finite(x: np.ndarray, where: str):
-    if not np.isfinite(x).all():
-        raise FloatingPointError(f"non-finite values produced by {where}")
-
-
 def _forward_with_ctx(net: Network, inputs: np.ndarray):
     x = np.asarray(inputs, dtype=np.float64)
     if x.shape[1:] != net.input_shape:
@@ -476,7 +466,8 @@ def _forward_with_ctx(net: Network, inputs: np.ndarray):
             x, ctx = layer.apply(x)
         except ShapeError as e:
             raise ShapeError(f"layer {i} ({layer.kind}): {e}") from None
-        _check_finite(x, f"layer {i} ({layer.kind})")
+        if not np.isfinite(x).all():
+            raise FloatingPointError(f"non-finite values produced by layer {i} ({layer.kind})")
         ctxs.append(ctx)
     return x, ctxs
 
@@ -536,31 +527,20 @@ def backward(net: Network, batch: Batch, loss_kind: str) -> list[np.ndarray]:
 
 
 def sgd_step(net: Network, grads: Sequence[np.ndarray], lr: float) -> Network:
-    """w <- w - lr*g (raises FloatingPointError on a non-finite result)."""
-    if lr <= 0:
+    """w <- w - lr*g in place on `net`'s parameter arrays; returns `net`.
+
+    The caller must own those arrays: `Network.copy` gives fresh ones, while
+    `replace_layer`, `with_params` and `sparsity.apply_mask` share them. A
+    non-finite result is not checked here; the next forward pass raises."""
+    if not lr > 0:
         raise ValueError(f"learning rate must be positive, got {lr}")
-    n_tensors = sum(len(layer.param_tensors()) for layer in net.layers)
-    if len(grads) != n_tensors:
-        raise ShapeError(f"expected {n_tensors} gradients, got {len(grads)}")
-    layers = list(net.layers)
-    k = 0
-    for i, layer in enumerate(net.layers):
-        tensors = layer.param_tensors()
-        if not tensors:
-            continue
-        new = []
-        for t in tensors:
-            g = grads[k]
-            if g.shape != t.shape:
-                raise ShapeError(
-                    f"gradient shape {g.shape} != parameter shape {t.shape} "
-                    f"in layer {i}"
-                )
-            new.append(t - lr * g)
-            _check_finite(new[-1], f"sgd_step on layer {i}")
-            k += 1
-        layers[i] = layer.with_params(new)
-    return Network(layers, net.input_shape)
+    tensors = net.param_tensors()
+    if [g.shape for g in grads] != [t.shape for t in tensors]:
+        raise ShapeError(f"gradient shapes {[g.shape for g in grads]} do not match "
+                         f"parameter shapes {[t.shape for t in tensors]}")
+    for t, g in zip(tensors, grads):
+        t -= lr * g
+    return net
 
 
 def accuracy(net: Network, dataset) -> float:
@@ -718,6 +698,8 @@ def deserialize_network(data: bytes) -> Network:
             for _ in range(r.unpack("<B")[0]):
                 shape = _read_shape(r)
                 tensors.append(r.array("<f8", math.prod(shape)).reshape(shape))
+                if not np.isfinite(tensors[-1]).all():
+                    raise r.fail("non-finite parameter value")
             layers.append(_layer_from_parts(kind, hyper, tensors))
         r.end()
         return Network(layers, input_shape)

@@ -130,18 +130,13 @@ def apply_mask(net: Network, mask: SparsityMask) -> Network:
 
 def prunable_indices(net: Network, layer: int,
                      include_biases: bool = False) -> np.ndarray:
-    """Layer-flat indices eligible for pruning (biases excluded by default)."""
-    layer_obj = net.layers[layer]
-    names = layer_obj.param_names()
-    if not names:
+    """Layer-flat indices eligible for pruning (biases excluded by default).
+    A layer declares its weights first and its bias last."""
+    tensors = net.layers[layer].param_tensors()
+    if not tensors:
         raise ValueError(f"layer {layer} has no parameters")
-    out = []
-    off = 0
-    for name, t in zip(names, layer_obj.param_tensors()):
-        if include_biases or name != "bias":
-            out.append(np.arange(off, off + t.size, dtype=np.int64))
-        off += t.size
-    return np.concatenate(out) if out else np.empty(0, dtype=np.int64)
+    size = sum(t.size for t in tensors) if include_biases else tensors[0].size
+    return np.arange(size, dtype=np.int64)
 
 
 def random_mask(net: Network, fraction: float, seed: int,

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from devolve import datasets, nn, sparsity
+from devolve import datasets, evolution, nn, sparsity
 from devolve.cli import ConfigError, apply_overrides, main, validate_config
 
 
@@ -102,6 +102,33 @@ class TestExitCodes:
         path, _ = pipeline_config(tmp_path)
         assert main(["sparsify", "--config", str(path)]) == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,setting", [
+        ("sparsify", "de.retrain_lr=0"), ("sparsify", "de.retrain_lr=-0.5"),
+        ("sparsify", "de.retrain_lr=NaN"), ("sparsify", "de.retrain_batch_size=0"),
+        ("train", "train.lr=0"), ("train", "train.lr=NaN"),
+        ("train", "train.batch_size=0")])
+    def test_bad_step_setting_is_validation_error(self, tmp_path, monkeypatch, capsys,
+                                                  command, setting):
+        path, cfg = pipeline_config(tmp_path)
+        nn.save_network(nn.build_network(cfg["model"]["architecture"], 0),
+                        cfg["model"]["path"])
+        work = []
+        monkeypatch.setattr(evolution, "evaluate_trials", lambda *a: work.append(a))
+        monkeypatch.setattr(nn, "sgd_step", lambda *a: work.append(a))
+        assert main([command, "--config", str(path), "--set", setting]) == 1
+        assert "config error" in capsys.readouterr().err
+        assert work == []  # rejected before any trial or training step
+
+    def test_blown_up_train_writes_no_model(self, tmp_path, capsys):
+        path, _ = pipeline_config(tmp_path)
+        # one step over all 256 samples at lr=1e200 overflows the next forward
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["train", "--config", str(path), "--set", "train.epochs=1",
+                         "--set", "train.lr=1e200", "--set", "train.batch_size=256"])
+        assert code == 2
+        assert "non-finite" in capsys.readouterr().err
+        assert not (tmp_path / "teacher.devn").exists()
 
 
 class TestPipeline:

@@ -280,6 +280,43 @@ class TestRetrain:
                                    for t in out.layers[i].param_tensors()])
             assert (flat[mask.layer_bits(i)] == 0.0).all()
 
+    @pytest.mark.parametrize("make_net,make_probe,lr", [
+        (tiny_teacher, tiny_probe, 32.0), (tiny_conv_teacher, conv_probe, 4.0)])
+    def test_matches_copying_steps_and_masking(self, make_net, make_probe, lr):
+        # The reference steps into new arrays and applies the mask after every
+        # step. Only layer 0 is masked; apply_mask shares the last layer's
+        # arrays with the input student. At these rates the third epoch
+        # overshoots, so the best network is an earlier one.
+        student = make_net(3)
+        probe = make_probe(48)
+        tout = nn.forward(make_net(4), probe.inputs)
+        spec = DivergenceSpec.whole_output(3)
+        half = sparsity.prunable_indices(student, 0).size // 2
+        mask = sparsity.mask_with_counts(student, {0: half}, seed=1, include_biases=False)
+        cfg = EvolutionConfig(retrain_epochs=3, retrain_lr=lr, retrain_batch_size=16)
+        student_bytes = nn.serialize_network(student)
+        out = retrain(student, mask, tout, probe, cfg, spec)
+        assert nn.serialize_network(student) == student_bytes
+
+        net = best = apply_mask(student, mask)
+        best_div = divergence(nn.forward(net, probe.inputs), tout, spec)
+        for _ in range(cfg.retrain_epochs):
+            for lo in range(0, 48, 16):
+                target = tout[lo:lo + 16]
+                _, grads = nn.value_and_grads(
+                    net, probe.inputs[lo:lo + 16],
+                    lambda o: evolution.divergence_grad(o, target, spec))
+                stepped = iter([t - cfg.retrain_lr * g
+                                for t, g in zip(net.param_tensors(), grads)])
+                net = apply_mask(nn.Network(
+                    [l.with_params([next(stepped) for _ in l.param_tensors()])
+                     for l in net.layers], net.input_shape), mask)
+            div = divergence(nn.forward(net, probe.inputs), tout, spec)
+            if div < best_div:
+                best, best_div = net, div
+        assert best_div < div
+        assert nn.serialize_network(out) == nn.serialize_network(best)
+
     def test_blown_up_step_keeps_the_run(self, tmp_path):
         # lr=1e200 overflows the first retrain step of every sweep; each
         # retrain then keeps its input, so the run matches one without retraining
@@ -375,14 +412,17 @@ class TestRun:
     def test_divergence_budget_reverts(self):
         net = tiny_teacher(5)
         probe = tiny_probe(48)
-        cfg = EvolutionConfig(trials_per_cycle=4, step_fraction=0.1,
-                              target_sparsity=0.9, divergence_budget=1e-9,
-                              master_seed=1, scope=[0])
-        res = run(net, probe, cfg)
-        assert res.status == "divergence_budget"
-        # rolled back to the pre-violation state: empty mask here
-        assert res.mask.zeroed() == 0
-        assert res.final_divergence <= 1e-9
+        for epochs in (0, 2):
+            # retraining steps its own copy, never the rollback snapshot
+            cfg = EvolutionConfig(trials_per_cycle=4, step_fraction=0.1,
+                                  target_sparsity=0.9, divergence_budget=1e-9,
+                                  retrain_epochs=epochs, master_seed=1, scope=[0])
+            res = run(net, probe, cfg)
+            assert res.status == "divergence_budget"
+            # rolled back to the pre-violation state: empty mask here
+            assert res.mask.zeroed() == 0
+            assert res.final_divergence <= 1e-9
+            assert nn.serialize_network(res.student) == nn.serialize_network(net)
 
     def test_multi_layer_round_robin(self):
         net = tiny_teacher(6)
@@ -497,6 +537,11 @@ class TestConfigValidation:
             EvolutionConfig(step_fraction=0.0)
         with pytest.raises(ValueError):
             EvolutionConfig(target_sparsity=1.5)
+        for lr in (0.0, -0.5, math.nan, math.inf):
+            with pytest.raises(ValueError, match="retrain_lr"):
+                EvolutionConfig(retrain_lr=lr)
+        with pytest.raises(ValueError, match="retrain_batch_size"):
+            EvolutionConfig(retrain_batch_size=0)
 
     def test_per_layer_targets(self):
         cfg = EvolutionConfig(target_sparsity={0: 0.5, 2: 0.9})

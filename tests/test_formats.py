@@ -259,6 +259,8 @@ class TestModelTyped:
         ([(1, b"", [])], b"", "parameter tensors"),
         ([DENSE, (4, b"", [np.zeros(1)])], b"", "parameter tensors"),
         ([DENSE, (9, b"", [])], b"", "tag 9.*offset 93"),
+        ([(1, b"", [np.array([[1.0, 1.0], [np.nan, 1.0], [1.0, 1.0]]), np.zeros(2)])],
+         b"", "non-finite.*offset 24"),
     ])
     def test_rejected(self, layers, trailer, match):
         with pytest.raises(ModelFormatError, match=match):

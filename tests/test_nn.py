@@ -225,6 +225,16 @@ class TestSgd:
         out = nn.sgd_step(net, [np.array([[0.5]]), np.zeros(1)], lr=0.1)
         assert out.layers[0].weights[0, 0] == pytest.approx(0.95)
 
+    def test_updates_in_place(self):
+        net = small_net()
+        tensors = net.param_tensors()
+        before = [t.copy() for t in tensors]
+        grads = [np.full(t.shape, 0.25) for t in tensors]
+        assert nn.sgd_step(net, grads, 0.5) is net
+        assert all(a is b for a, b in zip(net.param_tensors(), tensors))
+        for t, b in zip(tensors, before):
+            np.testing.assert_array_equal(t, b - 0.5 * 0.25)
+
     def test_masked_position_stays_zero(self):
         from devolve.sparsity import CandidateSet, SparsityMask, apply_mask, merge
         net = Network([Dense(np.ones((2, 2)), np.zeros(2))], (2,))
@@ -247,8 +257,9 @@ class TestSgd:
         net = small_net()
         grads = nn.backward(net, Batch(np.zeros((1, 6)), np.array([0])),
                             "cross_entropy")
-        with pytest.raises(ValueError, match="positive"):
-            nn.sgd_step(net, grads, 0.0)
+        for lr in (0.0, float("nan")):
+            with pytest.raises(ValueError, match="positive"):
+                nn.sgd_step(net, grads, lr)
 
 
 class TestFlatParams:
