@@ -1,5 +1,5 @@
-"""One bounded reader for the binary formats (DEVN, DEVM, DEVP, IDX). Every
-read is checked against the buffer's end before anything is allocated, and a
+"""`Reader` and its mirror `Writer` for the binary formats (DEVN, DEVM, DEVP,
+IDX). Every read is checked against the buffer's end before allocating, and a
 failed read raises the caller's `FormatError` subclass with its byte offset."""
 
 from __future__ import annotations
@@ -51,6 +51,11 @@ class Reader:
     def array(self, dtype, count: int) -> np.ndarray:
         return np.frombuffer(self.take(count * np.dtype(dtype).itemsize), dtype).copy()
 
+    def shape(self) -> tuple[int, ...]:
+        """ndim u8, then each dim u32 (`Writer.shape`)."""
+        (ndim,) = self.unpack("<B")
+        return self.unpack(f"<{ndim}I")
+
     def bits(self, n: int) -> np.ndarray:
         """n booleans packed MSB-first; the padding bits must be zero."""
         unpacked = np.unpackbits(self.array(np.uint8, -(-n // 8)))
@@ -82,6 +87,29 @@ class Reader:
         self.mark = self.pos
         if self.left:
             raise self.fail(f"{self.left} stray bytes")
+
+
+class Writer:
+    """Mirror of `Reader`. Byte strings, magics included, go through `pack`."""
+
+    def __init__(self):
+        self.out = bytearray()
+
+    def pack(self, fmt: str, *values):
+        self.out += struct.pack(fmt, *values)
+
+    def array(self, values, dtype):
+        self.out += np.ascontiguousarray(values, dtype=dtype).tobytes()
+
+    def shape(self, shape):
+        self.pack(f"<B{len(shape)}I", len(shape), *shape)
+
+    def finish(self, crc: bool = False) -> bytes:
+        """The bytes written; with `crc=True` sealed by the little-endian
+        CRC32 trailer that `Reader(..., crc=True)` checks."""
+        if crc:
+            self.pack("<I", zlib.crc32(self.out))
+        return bytes(self.out)
 
 
 @contextmanager

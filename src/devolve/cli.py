@@ -56,7 +56,8 @@ _SCHEMA = {
     "train": {"epochs": int, "lr": (int, float), "batch_size": int},
     "de": {
         "trials_per_cycle": int, "step_fraction": (int, float),
-        "target_sparsity": (int, float, dict), "divergence_budget": (int, float),
+        "target_sparsity": (int, float, dict),
+        "divergence_budget": (int, float, type(None)),
         "retrain_epochs": int, "retrain_lr": (int, float),
         "retrain_batch_size": int, "scope": list, "include_biases": bool,
         "workers": int, "max_cycles": int, "master_seed": int,
@@ -199,7 +200,14 @@ def _divergence_spec(config: dict, out_width: int) -> evolution.DivergenceSpec:
         return evolution.DivergenceSpec.whole_output(out_width)
     heads = [evolution.Head(h["start"], h["stop"], h.get("divisor", 1.0),
                             h.get("weight", 1.0)) for h in heads_cfg]
-    return evolution.DivergenceSpec(heads)
+    for i, h in enumerate(heads):
+        if h.stop > out_width:
+            raise ConfigError(f"divergence.heads[{i}] stop {h.stop} exceeds "
+                              f"the output width {out_width}")
+    try:
+        return evolution.DivergenceSpec(heads)
+    except ValueError as e:
+        raise ConfigError(f"invalid divergence heads: {e}")
 
 
 def _evolution_config(config: dict) -> evolution.EvolutionConfig:
@@ -243,6 +251,7 @@ def cmd_train(config: dict) -> int:
         raise ConfigError(f"train.lr must be positive and finite, got {lr}")
     if bs < 1:
         raise ConfigError(f"train.batch_size must be >= 1, got {bs}")
+    path = _require(config, "output", "model")
     n = dataset.size
     for epoch in range(epochs):
         rng = np.random.default_rng(
@@ -253,7 +262,6 @@ def cmd_train(config: dict) -> int:
             batch = nn.Batch(dataset.inputs[idx], dataset.labels[idx])
             grads = nn.backward(net, batch, "cross_entropy")
             nn.sgd_step(net, grads, lr)
-    path = _require(config, "output", "model")
     acc = nn.accuracy(net, dataset)  # raises before a blown-up model is saved
     nn.save_network(net, path)
     print(f"model {path}")

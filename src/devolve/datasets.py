@@ -9,14 +9,13 @@ from __future__ import annotations
 
 import gzip
 import math
-import struct
 import zlib
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .binio import FormatError, Reader
+from .binio import FormatError, Reader, Writer
 
 IDX_LABEL_MAGIC = 0x00000801
 IDX_IMAGE_MAGIC = 0x00000803
@@ -70,15 +69,16 @@ def parse_idx(data: bytes) -> np.ndarray:
 def serialize_idx(array: np.ndarray) -> bytes:
     """Inverse of parse_idx: labels from int arrays, images from [0,1] floats."""
     array = np.asarray(array)
+    w = Writer()
     if array.ndim == 1:
-        payload = array.astype(np.uint8)
-        head = struct.pack(">II", IDX_LABEL_MAGIC, array.shape[0])
+        w.pack(">II", IDX_LABEL_MAGIC, array.shape[0])
+        w.array(array, np.uint8)
     elif array.ndim == 3:
-        payload = np.round(array * 255.0).astype(np.uint8)
-        head = struct.pack(">IIII", IDX_IMAGE_MAGIC, *array.shape)
+        w.pack(">IIII", IDX_IMAGE_MAGIC, *array.shape)
+        w.array(np.round(array * 255.0), np.uint8)
     else:
         raise ValueError(f"cannot serialize rank-{array.ndim} array as IDX")
-    return head + payload.tobytes()
+    return w.finish()
 
 
 def load_idx(path: str) -> np.ndarray:

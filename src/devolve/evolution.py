@@ -52,6 +52,8 @@ class DivergenceSpec:
         if not self.heads:
             raise ValueError("divergence spec needs at least one head")
         for h in self.heads:
+            if h.start < 0 or h.stop <= h.start:
+                raise ValueError(f"head columns [{h.start}, {h.stop}) are empty or negative")
             if h.divisor <= 0:
                 raise ValueError(f"head divisor must be positive, got {h.divisor}")
             if h.weight < 0:
@@ -234,6 +236,8 @@ def select_and_commit(cycle: int, layer: int, candidates: Sequence[CandidateSet]
     if len(candidates) < 1:
         raise ValueError("need at least one evaluated trial")
     divergences = np.asarray(divergences, dtype=np.float64)
+    if not np.isfinite(divergences).all():
+        raise ValueError(f"non-finite trial divergences in cycle {cycle}, layer {layer}")
     best = int(np.argmin(divergences))
     before = sparsity(mask, layer)
     new_mask = merge(mask, candidates[best])

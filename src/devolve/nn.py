@@ -10,30 +10,31 @@ layer's parameter tensors end to end in declared order, each row-major, and
 `Layer.with_flat_params` / `unflatten` invert it. DEVM mask bitsets, candidate
 indices, quantizer codes and DEVP payloads all index that layout.
 
-DEVN layout (little-endian, no checksum; `deserialize_network` raises
-`ModelFormatError`, a `ValueError`, on malformed input, non-finite values or
-trailing bytes):
+DEVN layout (little-endian; `deserialize_network` raises `ModelFormatError`,
+a `ValueError`, on malformed input, non-finite values or trailing bytes):
 
     magic "DEVN" | version u16 | input ndim u8 + dims u32... | layer count u16
     per layer: kind u8 | hyperparameters (conv2d: stride u8, same flag u8;
         leaky_relu: slope f64; max_pool: pool u8, stride u8) | tensor count u8 |
         per tensor: ndim u8 + dims u32... + f64 values
+    crc32 u32 of everything before it
+
+Version 2 is written. Version 1, the same without the CRC trailer, still loads.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import struct
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .binio import FormatError, Reader, guard
+from .binio import FormatError, Reader, Writer, guard
 
 MAGIC = b"DEVN"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 LOSS_KINDS = ("mse", "cross_entropy")
 
@@ -621,25 +622,15 @@ def load_architecture(path: str) -> dict:
 # Binary serialization (DEVN)
 # ---------------------------------------------------------------------------
 
-def _write_shape(out: bytearray, shape):
-    out += struct.pack("<B", len(shape))
-    for d in shape:
-        out += struct.pack("<I", d)
-
-
-def _read_shape(r: Reader) -> tuple[int, ...]:
-    (ndim,) = r.unpack("<B")
-    return r.unpack(f"<{ndim}I")
-
-
-def _write_hyper(out: bytearray, kind: str, hyper: dict):
+def _write_kind(w: Writer, kind: str, hyper: dict):
+    """A layer's kind tag and hyperparameters (`_read_kind`)."""
+    w.pack("<B", _KIND_TAGS[kind])
     if kind == "conv2d":
-        out += struct.pack("<BB", hyper["stride"],
-                           1 if hyper["padding"] == "same" else 0)
+        w.pack("<BB", hyper["stride"], 1 if hyper["padding"] == "same" else 0)
     elif kind == "leaky_relu":
-        out += struct.pack("<d", hyper["slope"])
+        w.pack("<d", hyper["slope"])
     elif kind == "max_pool":
-        out += struct.pack("<BB", hyper["pool"], hyper["stride"])
+        w.pack("<BB", hyper["pool"], hyper["stride"])
 
 
 def _read_kind(r: Reader) -> tuple[str, dict]:
@@ -662,20 +653,18 @@ def _read_kind(r: Reader) -> tuple[str, dict]:
 
 
 def serialize_network(net: Network) -> bytes:
-    out = bytearray()
-    out += MAGIC
-    out += struct.pack("<H", FORMAT_VERSION)
-    _write_shape(out, net.input_shape)
-    out += struct.pack("<H", len(net.layers))
+    w = Writer()
+    w.pack("<4sH", MAGIC, FORMAT_VERSION)
+    w.shape(net.input_shape)
+    w.pack("<H", len(net.layers))
     for layer in net.layers:
-        out += struct.pack("<B", _KIND_TAGS[layer.kind])
-        _write_hyper(out, layer.kind, layer.hyper())
+        _write_kind(w, layer.kind, layer.hyper())
         tensors = layer.param_tensors()
-        out += struct.pack("<B", len(tensors))
+        w.pack("<B", len(tensors))
         for t in tensors:
-            _write_shape(out, t.shape)
-            out += np.ascontiguousarray(t, dtype="<f8").tobytes()
-    return bytes(out)
+            w.shape(t.shape)
+            w.array(t, "<f8")
+    return w.finish(crc=True)
 
 
 def _layer_from_parts(kind: str, hyper: dict, tensors: list[np.ndarray]) -> Layer:
@@ -686,9 +675,10 @@ def _layer_from_parts(kind: str, hyper: dict, tensors: list[np.ndarray]) -> Laye
 
 
 def deserialize_network(data: bytes) -> Network:
-    r = Reader(data, ModelFormatError)
-    r.header(MAGIC, FORMAT_VERSION)
-    input_shape = _read_shape(r)
+    version = 2 if bytes(data[4:6]) == b"\x02\x00" else 1  # version 1: no CRC
+    r = Reader(data, ModelFormatError, crc=version == 2)
+    r.header(MAGIC, version)
+    input_shape = r.shape()
     (n_layers,) = r.unpack("<H")
     layers = []
     with guard(ModelFormatError):
@@ -696,7 +686,7 @@ def deserialize_network(data: bytes) -> Network:
             kind, hyper = _read_kind(r)
             tensors = []
             for _ in range(r.unpack("<B")[0]):
-                shape = _read_shape(r)
+                shape = r.shape()
                 tensors.append(r.array("<f8", math.prod(shape)).reshape(shape))
                 if not np.isfinite(tensors[-1]).all():
                     raise r.fail("non-finite parameter value")

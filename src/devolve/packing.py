@@ -30,15 +30,13 @@ from __future__ import annotations
 
 import heapq
 import math
-import struct
-import zlib
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from . import nn
-from .binio import FormatError, Reader, guard
+from .binio import FormatError, Reader, Writer, guard
 from .nn import Network
 from .quantize import QuantizationSpec, QuantizedModel, dequantize
 from .sparsity import SparsityMask
@@ -301,38 +299,34 @@ class PackedModel:
     layers: list[PackedLayer]
 
     def to_bytes(self) -> bytes:
-        out = bytearray()
-        out += PACK_MAGIC
-        out += struct.pack("<H", PACK_VERSION)
-        nn._write_shape(out, self.input_shape)
-        out += struct.pack("<H", len(self.layers))
+        w = Writer()
+        w.pack("<4sH", PACK_MAGIC, PACK_VERSION)
+        w.shape(self.input_shape)
+        w.pack("<H", len(self.layers))
         for pl in self.layers:
-            out += struct.pack("<B", nn._KIND_TAGS[pl.kind])
-            nn._write_hyper(out, pl.kind, pl.hyper)
-            out += struct.pack("<B", len(pl.shapes))
+            nn._write_kind(w, pl.kind, pl.hyper)
+            w.pack("<B", len(pl.shapes))
             for shape in pl.shapes:
-                nn._write_shape(out, shape)
+                w.shape(shape)
             if pl.shapes:
-                out += struct.pack("<BI", pl.mask_tag, len(pl.mask_payload))
-                out += pl.mask_payload
-                out += struct.pack("<B", pl.lut_bits)
-                out += np.ascontiguousarray(pl.lut_levels, dtype="<f4").tobytes()
-                out += np.ascontiguousarray(pl.code_lengths, dtype=np.uint8).tobytes()
-                out += struct.pack("<Q", pl.payload_bit_length)
-                out += pl.payload
-        out += struct.pack("<I", zlib.crc32(bytes(out)))
-        return bytes(out)
+                n = len(pl.mask_payload)
+                w.pack(f"<BI{n}s", pl.mask_tag, n, pl.mask_payload)
+                w.pack("<B", pl.lut_bits)
+                w.array(pl.lut_levels, "<f4")
+                w.array(pl.code_lengths, np.uint8)
+                w.pack(f"<Q{len(pl.payload)}s", pl.payload_bit_length, pl.payload)
+        return w.finish(crc=True)
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "PackedModel":
         r = Reader(data, PackedFormatError, crc=True)
         r.header(PACK_MAGIC, PACK_VERSION)
-        input_shape = nn._read_shape(r)
+        input_shape = r.shape()
         (n_layers,) = r.unpack("<H")
         layers = []
         for _ in range(n_layers):
             pl = PackedLayer(*nn._read_kind(r), [])
-            pl.shapes = [nn._read_shape(r) for _ in range(r.unpack("<B")[0])]
+            pl.shapes = [r.shape() for _ in range(r.unpack("<B")[0])]
             if pl.shapes:
                 pl.mask_tag, mask_len = r.unpack("<BI")
                 pl.mask_payload = bytes(r.take(mask_len))

@@ -185,6 +185,12 @@ BALANCE_TOL_RATIO = 1e-4
 # Cells in the dynamic-programming seed's grid (at least three per level).
 SEED_GRID_CELLS = 768
 
+# Most trial tables one polish evaluates. Converging polishes need a few
+# hundred at most. On some small surviving sets two tables an ulp apart each
+# keep a step to the other; the polish ends when that underflows the damping
+# to 0.0, or, where rejected steps hold the damping up, at this cap.
+POLISH_MAX_EVALS = 1000
+
 
 def _sqrt_quantiles(density: Density, n_points: int) -> np.ndarray:
     """Points at equal quantiles of sqrt(density), the asymptotically optimal
@@ -263,19 +269,20 @@ def _polish(levels: np.ndarray, density: Density) -> np.ndarray:
     F = mass_balance(x, density)
     res = float(np.abs(F).max())
     err = quantization_error(x, density)
-    damping = 1e-3
-    while res > 1e-16 and damping <= 1e6:
+    damping, evals = 1e-3, 0
+    while res > 1e-16 and 0.0 < damping <= 1e6 and evals < POLISH_MAX_EVALS:
         p_mid = density.pdf_array((x[:-1] + x[1:]) / 2.0)
         diag = 2.0 * density.pdf_array(x[1:-1]) - (p_mid[:-1] + p_mid[1:]) / 2.0
         off = -p_mid[1:-1] / 2.0
         scale = float(np.abs(diag).max())
-        while damping <= 1e6:
+        while damping <= 1e6 and evals < POLISH_MAX_EVALS:
             trial = x.copy()
             try:
                 trial[1:-1] += _thomas(off, diag + damping * scale, -F)
             except ZeroDivisionError:  # singular damped Jacobian: damp harder
                 trial[1:-1] = np.nan
             if (np.diff(trial) > 0).all():
+                evals += 1
                 t_err = quantization_error(trial, density)
                 t_F = mass_balance(trial, density)
                 t_res = float(np.abs(t_F).max())

@@ -21,12 +21,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import struct
-import zlib
-
 import numpy as np
 
-from .binio import FormatError, Reader
+from .binio import FormatError, Reader, Writer
 from .nn import Network
 
 
@@ -184,20 +181,13 @@ class MaskFormatError(FormatError):
 
 
 def serialize_mask(mask: SparsityMask) -> bytes:
-    out = bytearray()
-    out += _MASK_MAGIC
-    out += struct.pack("<H", 1)
-    out += struct.pack("<H", len(mask.bits))
+    w = Writer()
+    w.pack("<4sHH", _MASK_MAGIC, 1, len(mask.bits))
     for layer in sorted(mask.bits):
-        bits = mask.bits[layer]
         sizes = mask.splits[layer]
-        out += struct.pack("<HQ", layer, bits.size)
-        out += struct.pack("<B", len(sizes))
-        for s in sizes:
-            out += struct.pack("<Q", s)
-        out += np.packbits(bits).tobytes()
-    out += struct.pack("<I", zlib.crc32(bytes(out)))
-    return bytes(out)
+        w.pack(f"<HQB{len(sizes)}Q", layer, mask.bits[layer].size, len(sizes), *sizes)
+        w.array(np.packbits(mask.bits[layer]), np.uint8)
+    return w.finish(crc=True)
 
 
 def deserialize_mask(data: bytes) -> SparsityMask:

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from devolve import datasets, evolution, nn, sparsity
-from devolve.cli import ConfigError, apply_overrides, main, validate_config
+from devolve.cli import (ConfigError, _evolution_config, apply_overrides, load_config,
+                         main, validate_config)
 
 
 def pipeline_config(tmp_path, **extra):
@@ -77,6 +78,12 @@ class TestValidation:
             validate_config({"master_seed": 1,
                              "divergence": {"heads": [{"start": 0}]}})
 
+    def test_null_divergence_budget_loads(self, tmp_path):
+        # README documents null as "no budget"
+        path = tmp_path / "run.json"
+        path.write_text('{"master_seed": 1, "de": {"divergence_budget": null}}')
+        assert _evolution_config(load_config(str(path))).divergence_budget is None
+
     def test_apply_overrides(self):
         cfg = {"master_seed": 1, "de": {"trials_per_cycle": 10}}
         apply_overrides(cfg, ["de.trials_per_cycle=99", "de.workers=2"])
@@ -119,6 +126,32 @@ class TestExitCodes:
         assert main([command, "--config", str(path), "--set", setting]) == 1
         assert "config error" in capsys.readouterr().err
         assert work == []  # rejected before any trial or training step
+
+    def test_train_without_output_model_fails_before_training(self, tmp_path, monkeypatch,
+                                                              capsys):
+        path, cfg = pipeline_config(tmp_path)
+        del cfg["output"]["model"]
+        path.write_text(json.dumps(cfg))
+        steps = []
+        monkeypatch.setattr(nn, "sgd_step", lambda *a: steps.append(a))
+        assert main(["train", "--config", str(path)]) == 1
+        assert "output.model" in capsys.readouterr().err
+        assert steps == []
+
+    # the pipeline net has 3 outputs
+    @pytest.mark.parametrize("head,match", [
+        ({"start": 2, "stop": 1}, "empty"), ({"start": 1, "stop": 1}, "empty"),
+        ({"start": -1, "stop": 2}, "negative"), ({"start": 0, "stop": 4}, "output width 3")])
+    def test_bad_divergence_head_is_validation_error(self, tmp_path, monkeypatch, capsys,
+                                                     head, match):
+        path, cfg = pipeline_config(tmp_path, divergence={"heads": [head]})
+        nn.save_network(nn.build_network(cfg["model"]["architecture"], 0),
+                        cfg["model"]["path"])
+        trials = []
+        monkeypatch.setattr(evolution, "evaluate_trials", lambda *a: trials.append(a))
+        assert main(["sparsify", "--config", str(path)]) == 1
+        assert match in capsys.readouterr().err
+        assert trials == []
 
     def test_blown_up_train_writes_no_model(self, tmp_path, capsys):
         path, _ = pipeline_config(tmp_path)

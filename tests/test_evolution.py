@@ -136,6 +136,11 @@ class TestDivergence:
         with pytest.raises(ValueError):
             DivergenceSpec([Head(0, 1, weight=0.0)])
 
+    @pytest.mark.parametrize("start,stop", [(2, 1), (1, 1), (-1, 2)])
+    def test_empty_or_negative_head_rejected(self, start, stop):
+        with pytest.raises(ValueError, match="empty or negative"):
+            DivergenceSpec([Head(start, stop)])
+
 
 class TestEvaluate:
     def test_empty_candidate_identical_nets(self):
@@ -227,6 +232,13 @@ class TestSelectCommit:
     def test_needs_one_trial(self):
         with pytest.raises(ValueError):
             select_and_commit(0, 0, [], np.array([]),
+                              SparsityMask.empty(tiny_teacher()))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_divergence_rejected(self, bad):
+        cands = [CandidateSet(0, [i]) for i in range(3)]
+        with pytest.raises(ValueError, match="non-finite"):
+            select_and_commit(0, 0, cands, np.array([0.3, bad, 0.2]),
                               SparsityMask.empty(tiny_teacher()))
 
 

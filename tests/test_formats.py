@@ -109,7 +109,7 @@ def mutants(data, crc, endian, seed):
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered in cast")
 @pytest.mark.parametrize("fmt,crc,endian,error,roundtrip", [
-    ("devn", False, "<", ModelFormatError, roundtrip_devn),
+    ("devn", True, "<", ModelFormatError, roundtrip_devn),
     ("devm", True, "<", MaskFormatError, roundtrip_devm),
     ("devp", True, "<", PackedFormatError, roundtrip_devp),
     ("idx", False, ">", IdxFormatError, roundtrip_idx),
@@ -236,20 +236,32 @@ class TestContainerTyped:
 
 # --- DEVN --------------------------------------------------------------------
 
-def devn_file(layers, trailer=b"", input_shape=(3,)):
-    """Hand-built DEVN bytes; layers are (tag, hyper bytes, tensors)."""
+def devn_file(layers, trailer=b"", input_shape=(3,), version=1):
+    """Hand-built DEVN bytes; layers are (tag, hyper bytes, tensors). Version 2
+    ends in the CRC32 of everything before it, version 1 has no trailer."""
     def shape(s):
         return struct.pack(f"<B{len(s)}I", len(s), *s)
-    out = b"DEVN" + struct.pack("<H", 1) + shape(input_shape)
+    out = b"DEVN" + struct.pack("<H", version) + shape(input_shape)
     out += struct.pack("<H", len(layers))
     for tag, hyper, tensors in layers:
         out += struct.pack("<B", tag) + hyper + struct.pack("<B", len(tensors))
         for t in tensors:
             out += shape(t.shape) + np.asarray(t, dtype="<f8").tobytes()
-    return out + trailer
+    out += trailer
+    return out + (struct.pack("<I", zlib.crc32(out)) if version == 2 else b"")
 
 
 DENSE = (1, b"", [np.ones((3, 2)), np.zeros(2)])
+# ARCH's layers as (tag, hyper bytes): conv2d stride 1 "same", relu, max_pool
+# 2/2, flatten, dense, leaky_relu 0.1, dense, softmax
+ARCH_TAGS = [(2, b"\x01\x01"), (4, b""), (6, b"\x02\x02"), (5, b""), (1, b""),
+             (3, struct.pack("<d", 0.1)), (1, b""), (7, b"")]
+
+
+def arch_devn_file(net, version):
+    layers = [(tag, hyper, layer.param_tensors())
+              for (tag, hyper), layer in zip(ARCH_TAGS, net.layers, strict=True)]
+    return devn_file(layers, input_shape=(6, 6, 1), version=version)
 
 
 class TestModelTyped:
@@ -274,6 +286,38 @@ class TestModelTyped:
     def test_truncated_header(self):
         with pytest.raises(ModelFormatError, match="truncated.*offset 4"):
             nn.deserialize_network(b"DEVN\x01")
+
+    def test_version_2_crc_mismatch(self, net):
+        data = bytearray(nn.serialize_network(net))
+        data[20] ^= 1
+        with pytest.raises(ModelFormatError, match="CRC mismatch"):
+            nn.deserialize_network(bytes(data))
+
+
+# --- encoders against layouts written out above, apart from devolve.binio ---
+
+class TestEncodedLayouts:
+    def test_devn(self, net):
+        assert nn.serialize_network(net) == arch_devn_file(net, version=2)
+
+    def test_devn_version_1_loads_and_reencodes_as_version_2(self, net):
+        v1 = arch_devn_file(net, version=1)
+        v2 = nn.serialize_network(nn.deserialize_network(v1))
+        assert v2 == arch_devn_file(net, version=2)
+        assert v2[:4] + b"\x01\x00" + v2[6:-4] == v1
+
+    def test_devm(self, mask):
+        records = [(layer, bits.size, mask.splits[layer], np.packbits(bits).tobytes())
+                   for layer, bits in sorted(mask.bits.items())]
+        assert sparsity.serialize_mask(mask) == devm_file(records)
+
+    def test_idx(self, images):
+        pixels = np.random.default_rng(0).random((3, 4, 5))  # as in `images`
+        assert images == (struct.pack(">IIII", 0x803, 3, 4, 5)
+                          + np.round(pixels * 255.0).astype(np.uint8).tobytes())
+        labels = np.arange(7) % 3
+        assert datasets.serialize_idx(labels) == (struct.pack(">II", 0x801, 7)
+                                                  + bytes([0, 1, 2, 0, 1, 2, 0]))
 
 
 # --- IDX ---------------------------------------------------------------------

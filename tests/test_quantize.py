@@ -136,6 +136,23 @@ class TestOptimalLevels:
         d = sampled_density(4)
         np.testing.assert_array_equal(optimal_levels(d, 8), optimal_levels(d, 8))
 
+    # (bits, n, seed) whose polish cycled between two tables an ulp apart
+    @pytest.mark.parametrize("bits,n,seed", [
+        (2, 3, 2), (2, 3, 7), (3, 3, 0), (3, 3, 6), (3, 5, 2), (3, 5, 4),
+        (3, 5, 9), (4, 3, 7), (4, 14, 1), (4, 14, 5)])
+    def test_polish_terminates_on_small_surviving_sets(self, monkeypatch, bits, n, seed):
+        calls = []
+
+        def counted(levels, density):
+            calls.append(1)
+            if len(calls) > 2000:
+                raise RuntimeError("the polish did not terminate")
+            return mass_balance(levels, density)
+        monkeypatch.setattr("devolve.quantize.mass_balance", counted)
+        values = np.random.default_rng([seed, n]).normal(size=n)
+        spec = build_spec(values, "optimal_density", bits)  # raises past the gate
+        assert spec.levels.size == 2 ** bits and (np.diff(spec.levels) > 0).all()
+
 
 class TestQuantizationError:
     def test_two_levels_uniform_quarter(self):
