@@ -75,6 +75,12 @@ _SCHEMA = {
 }
 
 _QUANT_KEYS = {"scheme": str, "bits": int, "rounding": str}
+_QUANT_DEFAULTS = {"scheme": "uniform_affine", "bits": 8, "rounding": "nearest"}
+# Bit widths `devolve quantize` and `pack` can run, per scheme. uniform_scale
+# needs a sign bit, and the level solver is measured up to 10 bits. The
+# `identity` scheme's tables are not 2^bits long, so no container holds them.
+_BIT_RANGES = {"uniform_scale": (2, 16), "uniform_affine": (1, 16),
+               "optimal_density": (1, 10)}
 _HEAD_KEYS = {"start": int, "stop": int, "divisor": (int, float),
               "weight": (int, float)}
 
@@ -94,6 +100,23 @@ def _check_keys(section: dict, schema: dict, path: str):
             raise ConfigError(f"{path}{key} must be {names}, got {type(value).__name__}")
 
 
+def _check_quantization(section: dict, inherited: dict, path: str):
+    """The scheme, rounding and bits that `section` sets or inherits must be
+    ones the quantize and pack stages can run."""
+    q = {**inherited, **section}
+    if q["scheme"] not in _BIT_RANGES:
+        raise ConfigError(f"{path}scheme must be one of {', '.join(_BIT_RANGES)}, "
+                          f"got {q['scheme']!r}")
+    if q["rounding"] not in quantize.ROUNDINGS:
+        raise ConfigError(f"{path}rounding must be one of "
+                          f"{', '.join(quantize.ROUNDINGS)}, got {q['rounding']!r}")
+    lo, hi = _BIT_RANGES[q["scheme"]]
+    if not lo <= q["bits"] <= hi:
+        raise ConfigError(f"{path}bits must be in {lo}..{hi} for {q['scheme']}, "
+                          f"got {q['bits']}")
+    return q
+
+
 def validate_config(config: dict):
     if not isinstance(config, dict):
         raise ConfigError("config must be a JSON object")
@@ -101,11 +124,14 @@ def validate_config(config: dict):
     if "master_seed" not in config:
         raise ConfigError("config requires master_seed")
     quant = config.get("quantization", {})
+    top = _check_quantization(quant, _QUANT_DEFAULTS, "quantization.")
     for layer_key, overrides in quant.get("per_layer", {}).items():
         if not str(layer_key).isdigit():
             raise ConfigError(f"quantization.per_layer key {layer_key!r} "
                               "must be a layer index")
-        _check_keys(overrides, _QUANT_KEYS, f"quantization.per_layer.{layer_key}.")
+        path = f"quantization.per_layer.{layer_key}."
+        _check_keys(overrides, _QUANT_KEYS, path)
+        _check_quantization(overrides, top, path)
     for i, head in enumerate(config.get("divergence", {}).get("heads", [])):
         if not isinstance(head, dict):
             raise ConfigError(f"divergence.heads[{i}] must be an object")
@@ -305,9 +331,9 @@ def cmd_quantize(config: dict) -> int:
     per_layer = {int(k): v for k, v in qcfg.get("per_layer", {}).items()}
     model, report = quantize.quantize_network(
         student, mask,
-        scheme=qcfg.get("scheme", "uniform_affine"),
-        bits=qcfg.get("bits", 8),
-        rounding=qcfg.get("rounding", "nearest"),
+        scheme=qcfg.get("scheme", _QUANT_DEFAULTS["scheme"]),
+        bits=qcfg.get("bits", _QUANT_DEFAULTS["bits"]),
+        rounding=qcfg.get("rounding", _QUANT_DEFAULTS["rounding"]),
         seed=qcfg.get("seed", config["master_seed"]),
         per_layer=per_layer,
         dataset=dataset if dataset.labels is not None else None,

@@ -67,13 +67,20 @@ def parse_idx(data: bytes) -> np.ndarray:
 
 
 def serialize_idx(array: np.ndarray) -> bytes:
-    """Inverse of parse_idx: labels from int arrays, images from [0,1] floats."""
+    """Inverse of parse_idx: labels from int arrays in 0..255, images from
+    finite floats in [0,1]. Values a byte cannot hold raise ValueError."""
     array = np.asarray(array)
     w = Writer()
     if array.ndim == 1:
+        if array.dtype.kind not in "iu":
+            raise ValueError(f"IDX labels must be integers, got {array.dtype}")
+        if array.size and not (array.min() >= 0 and array.max() <= 255):
+            raise ValueError("IDX labels must lie in 0..255")
         w.pack(">II", IDX_LABEL_MAGIC, array.shape[0])
         w.array(array, np.uint8)
     elif array.ndim == 3:
+        if not ((array >= 0) & (array <= 1)).all():  # NaN fails both
+            raise ValueError("IDX pixels must be finite and lie in [0, 1]")
         w.pack(">IIII", IDX_IMAGE_MAGIC, *array.shape)
         w.array(np.round(array * 255.0), np.uint8)
     else:

@@ -261,11 +261,13 @@ class ReLU(Layer):
         return in_shape
 
     def apply(self, x):
-        mask = x > 0
-        return np.where(mask, x, 0.0), mask
+        y = np.maximum(x, 0.0)
+        y += 0.0  # numpy leaves the sign of max(-0.0, 0.0) open; make it +0.0
+        return y, y
 
     def grads(self, ctx, grad_out):
-        return np.where(ctx, grad_out, 0.0), []
+        # y > 0 is x > 0 for the finite x the forward admits
+        return np.where(ctx > 0, grad_out, 0.0), []
 
 
 class LeakyReLU(Layer):
@@ -283,11 +285,11 @@ class LeakyReLU(Layer):
         return in_shape
 
     def apply(self, x):
-        mask = x > 0
-        return np.where(mask, x, self.slope * x), mask
+        y = np.maximum(x, self.slope * x)  # slope < 1: x above 0, slope*x below
+        return y, y
 
     def grads(self, ctx, grad_out):
-        return np.where(ctx, grad_out, self.slope * grad_out), []
+        return np.where(ctx > 0, grad_out, self.slope * grad_out), []
 
 
 class Flatten(Layer):

@@ -11,9 +11,12 @@ Three level-placement schemes map weights to b-bit codes:
   and stretches across sparse regions. At each interior level the optimum
   balances the probability mass of the two adjacent half-regions. The solver
   has two steps. A dynamic program over cut points finds the best table on a
-  fixed grid at equal quantiles of sqrt(density), which lands in the basin of
-  the global optimum. A Levenberg-Marquardt-damped Newton polish on the
-  balance system then settles the levels off the grid.
+  fixed grid of cells = max(768, 3n) cells at equal quantiles of
+  sqrt(density), which lands in the basin of the global optimum. Its gap cost
+  is Monge, so each level's argmins over the dense cost matrix (O(cells^2)
+  memory) come from a monotone search in O(cells^1.5) time rather than a full
+  O(cells^2) scan. A Levenberg-Marquardt-damped Newton polish on the balance
+  system then settles the levels off the grid.
 
 Rounding is nearest (ties to the lower level) or stochastic (round up with
 probability proportional to the distance from the lower level; unbiased in
@@ -215,26 +218,62 @@ def _dp_seed(density: Density, n_levels: int) -> np.ndarray:
     n-1 gaps from the first grid point to the last (optimal 1-D quantization
     by dynamic programming; Wu 1991, Wang & Song 2011). Each grid cell's mass
     is lumped at its centre, and a gap costs the rounding error of the cells
-    it spans, so the seed lies in the basin of the global optimum."""
+    it spans, so the seed lies in the basin of the global optimum.
+
+    The gap cost is Monge, so a level's best predecessor moves right as its
+    grid point does (Aggarwal et al. 1987). Each level takes exact argmins
+    over full rows at every isqrt(cells)-th point of its feasible band, and
+    every other point searches only the window between its two neighbouring
+    samples' argmins: O(cells^1.5) per level instead of O(cells^2), over one
+    dense (cells+1)^2 cost matrix. Ties keep np.argmin's first index."""
     cells = max(SEED_GRID_CELLS, 3 * n_levels)
     grid = _sqrt_quantiles(density, cells + 1)
     centres = (grid[:-1] + grid[1:]) / 2.0
     mass = np.diff(density.mass_to(grid))
     cum_m = np.concatenate(([0.0], np.cumsum(mass)))
     cum_mc = np.concatenate(([0.0], np.cumsum(mass * centres)))
-    # cost[i, j]: cells i..s-1 round down to grid[i], cells s..j-1 up to grid[j]
-    cols = np.arange(cells + 1)
-    i, j = cols[:, None], cols[None, :]
-    s = np.searchsorted(centres, (grid[i] + grid[j]) / 2.0, side="right")
-    cost = ((cum_mc[s] - cum_mc[i]) - grid[i] * (cum_m[s] - cum_m[i])
-            + grid[j] * (cum_m[j] - cum_m[s]) - (cum_mc[j] - cum_mc[s]))
-    cost[j <= i] = np.inf
-    reach = cost[0]  # least error reaching each grid point with one gap
+    # cost[j, i]: cells i..s-1 round down to grid[i], cells s..j-1 up to
+    # grid[j]; row j holds every predecessor i of grid point j. Built in
+    # blocks of `step` rows to keep the temporaries small.
+    step = math.isqrt(cells)
+    i = np.arange(cells + 1)
+    cost = np.empty((cells + 1, cells + 1))
+    for top in range(0, cells + 1, step):
+        j = i[top:top + step, None]
+        s = np.searchsorted(centres, (grid[i] + grid[j]) / 2.0, side="right")
+        cost[top:top + step] = np.where(
+            j > i, (cum_mc[s] - cum_mc[i]) - grid[i] * (cum_m[s] - cum_m[i])
+            + grid[j] * (cum_m[j] - cum_m[s]) - (cum_mc[j] - cum_mc[s]), np.inf)
+    reach = cost[:, 0].copy()  # least error reaching each grid point with one gap
     back = np.empty((n_levels - 2, cells + 1), dtype=np.intp)
+    # Iteration k places level k+2 (level 0 is grid point 0). With n-3-k
+    # levels still to follow, it lies in k+2 .. cells-(n-3-k), which the band
+    # k+1 .. k+band covers. Samples sit at every step-th offset of the band
+    # and at its end; every other point lies between two samples.
+    band = cells - n_levels + 3
+    picks = np.unique(np.r_[0:band:step, band - 1])
+    rest = np.setdiff1d(np.arange(band), picks, assume_unique=True)
+    gap = np.searchsorted(picks, rest)
+    rows = np.arange(picks.size)
     for k in range(n_levels - 2):
-        total = reach[:, None] + cost
-        back[k] = np.argmin(total, axis=0)
-        reach = total[back[k], cols]
+        p, r = picks + k + 1, rest + k + 1
+        total = cost[p] + reach
+        arg = np.argmin(total, axis=1)
+        back[k, p] = arg
+        nxt = np.full(cells + 1, np.inf)
+        nxt[p] = total[rows, arg]
+        # first argmin between the two samples' argmins, taken in either
+        # order: under ties the first-index argmin need not be monotone
+        left = np.minimum(arg[gap - 1], arg[gap])
+        width = np.maximum(arg[gap - 1], arg[gap]) - left + 1
+        starts = np.cumsum(width) - width
+        pred = np.arange(starts[-1] + width[-1]) - np.repeat(starts - left, width)
+        vals = cost[np.repeat(r, width), pred] + reach[pred]
+        best = np.minimum.reduceat(vals, starts)
+        hit = np.where(vals == np.repeat(best, width), pred, cells + 1)
+        back[k, r] = np.minimum.reduceat(hit, starts)
+        nxt[r] = best
+        reach = nxt
     path = [cells]
     for k in range(n_levels - 3, -1, -1):
         path.append(back[k, path[-1]])

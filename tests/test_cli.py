@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from devolve import datasets, evolution, nn, sparsity
+from devolve import datasets, evolution, nn, quantize, sparsity
 from devolve.cli import (ConfigError, _evolution_config, apply_overrides, load_config,
                          main, validate_config)
 
@@ -126,6 +126,40 @@ class TestExitCodes:
         assert main([command, "--config", str(path), "--set", setting]) == 1
         assert "config error" in capsys.readouterr().err
         assert work == []  # rejected before any trial or training step
+
+    @pytest.mark.parametrize("settings", [
+        ["quantization.scheme=bogus"], ["quantization.scheme=identity"],
+        ["quantization.rounding=floor"], ["quantization.bits=0"],
+        ["quantization.bits=-3"], ["quantization.bits=17"],
+        ["quantization.scheme=uniform_scale", "quantization.bits=1"],
+        ["quantization.scheme=optimal_density", "quantization.bits=11"],
+        ["quantization.per_layer.0.scheme=bogus"],
+        ["quantization.per_layer.0.scheme=identity"],
+        ["quantization.per_layer.0.rounding=floor"],
+        ["quantization.per_layer.0.bits=0"], ["quantization.per_layer.2.bits=17"],
+        ["quantization.per_layer.0.scheme=optimal_density",
+         "quantization.per_layer.0.bits=11"],
+        # 12 bits suit uniform_affine, which layer 0 swaps for optimal_density
+        ["quantization.bits=12", "quantization.per_layer.0.scheme=optimal_density"]])
+    def test_bad_quantization_is_validation_error(self, tmp_path, monkeypatch, capsys,
+                                                  settings):
+        path, cfg = pipeline_config(tmp_path)
+        work = []
+        monkeypatch.setattr(nn, "sgd_step", lambda *a: work.append(a))
+        monkeypatch.setattr(quantize, "solve_levels", lambda *a: work.append(a))
+        sets = [arg for s in settings for arg in ("--set", s)]
+        for command in ("train", "quantize"):
+            assert main([command, "--config", str(path), *sets]) == 1
+            assert "config error" in capsys.readouterr().err
+        assert work == []  # rejected before any training step or level solve
+
+    @pytest.mark.parametrize("quant", [
+        {"scheme": "uniform_affine", "bits": 16}, {"scheme": "uniform_scale", "bits": 2},
+        {"scheme": "optimal_density", "bits": 10, "rounding": "stochastic"},
+        {"scheme": "optimal_density", "bits": 1,
+         "per_layer": {"2": {"scheme": "uniform_affine", "bits": 16}}}])
+    def test_quantization_bounds_load(self, quant):
+        validate_config({"master_seed": 1, "quantization": quant})
 
     def test_train_without_output_model_fails_before_training(self, tmp_path, monkeypatch,
                                                               capsys):

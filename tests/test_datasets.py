@@ -47,6 +47,25 @@ class TestIdxParsing:
         labels = rng.integers(0, 10, size=7)
         np.testing.assert_array_equal(parse_idx(serialize_idx(labels)), labels)
 
+    @pytest.mark.parametrize("labels", [
+        [3, 300, -1], [256], [-1], np.array([1.0, 2.0]), np.array([True, False])])
+    def test_unbyteable_labels_rejected(self, labels):
+        with pytest.raises(ValueError, match="labels"):
+            serialize_idx(np.asarray(labels))
+
+    @pytest.mark.parametrize("bad", [1.7, -0.2, 1.0000001, -1e-300, np.nan, np.inf, -np.inf])
+    def test_unbyteable_pixels_rejected(self, bad):
+        pixels = np.full((2, 3, 3), 0.5)
+        pixels[1, 2, 0] = bad
+        with pytest.raises(ValueError, match="pixels"):
+            serialize_idx(pixels)
+
+    def test_byte_bounds_serialize(self):
+        labels = np.array([0, 255], dtype=np.int64)
+        np.testing.assert_array_equal(parse_idx(serialize_idx(labels)), labels)
+        pixels = np.array([0.0, -0.0, 1.0]).reshape(1, 1, 3)
+        np.testing.assert_array_equal(parse_idx(serialize_idx(pixels)), [[[0.0, 0.0, 1.0]]])
+
     def test_gzip_accepted(self, tmp_path):
         data = struct.pack(">II", 0x00000801, 2) + bytes([4, 9])
         path = tmp_path / "labels.idx.gz"

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from devolve import nn
-from devolve.nn import (Batch, Conv2D, Dense, MaxPool2D, Network, ReLU,
-                        ShapeError, Softmax)
+from devolve.nn import (Batch, Conv2D, Dense, LeakyReLU, MaxPool2D, Network,
+                        ReLU, ShapeError, Softmax)
 from helpers import LAYOUT_KINDS, layout_net
 from oracles import (assert_gradients_close, conv2d_direct, max_pool_direct,
                      numerical_gradients)
@@ -18,6 +18,43 @@ def small_net(seed=0, layers=None, input_shape=(6,)):
         {"kind": "softmax"},
     ]}
     return nn.build_network(arch, seed)
+
+
+EDGE_VALUES = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308, 1e-300,
+                        -1e-300, -1e-320, 1e-320, 1.0, -1.0, 3.5, -7.25, 1e300, -1e300])
+
+
+def bits_equal(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+class TestActivationForms:
+    """ReLU and LeakyReLU forward through np.maximum; they must give the
+    bits the np.where forms gave, signed zeros included, and masks equal to
+    x > 0, so relu and leaky nets keep their artifacts."""
+
+    def inputs(self):
+        rng = np.random.default_rng(3)
+        return np.concatenate((EDGE_VALUES, rng.normal(size=64) * 1e-310,
+                               rng.normal(size=64))).reshape(4, -1)
+
+    def test_relu_bits(self):
+        x = self.inputs()
+        y, ctx = ReLU().apply(x)
+        assert bits_equal(y, np.where(x > 0, x, 0.0))
+        np.testing.assert_array_equal(ctx > 0, x > 0)
+        g = np.random.default_rng(4).normal(size=x.shape)
+        assert bits_equal(ReLU().grads(ctx, g)[0], np.where(x > 0, g, 0.0))
+
+    @pytest.mark.parametrize("slope", [0.1, 0.2, 0.5, 0.9, 0.999])
+    def test_leaky_relu_bits(self, slope):
+        x = self.inputs()
+        layer = LeakyReLU(slope)
+        y, ctx = layer.apply(x)
+        assert bits_equal(y, np.where(x > 0, x, slope * x))
+        np.testing.assert_array_equal(ctx > 0, x > 0)
+        g = np.random.default_rng(4).normal(size=x.shape)
+        assert bits_equal(layer.grads(ctx, g)[0], np.where(x > 0, g, slope * g))
 
 
 class TestForward:

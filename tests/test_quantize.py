@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from devolve import nn, sparsity
+from devolve import nn, quantize as q, sparsity
 from devolve.quantize import (Density, QuantizationSpec, build_spec,
                               dequantize, mass_balance, optimal_levels,
                               quantization_error, quantize, quantize_network,
@@ -152,6 +152,55 @@ class TestOptimalLevels:
         values = np.random.default_rng([seed, n]).normal(size=n)
         spec = build_spec(values, "optimal_density", bits)  # raises past the gate
         assert spec.levels.size == 2 ** bits and (np.diff(spec.levels) > 0).all()
+
+
+def dense_dp_seed(density, n_levels):
+    """The grid DP seed by a full scan of the (cells+1)^2 cost matrix at every
+    level: the reference for the solver's monotone argmin search."""
+    cells = max(q.SEED_GRID_CELLS, 3 * n_levels)
+    grid = q._sqrt_quantiles(density, cells + 1)
+    centres = (grid[:-1] + grid[1:]) / 2.0
+    mass = np.diff(density.mass_to(grid))
+    cum_m = np.concatenate(([0.0], np.cumsum(mass)))
+    cum_mc = np.concatenate(([0.0], np.cumsum(mass * centres)))
+    cols = np.arange(cells + 1)
+    i, j = cols[:, None], cols[None, :]
+    s = np.searchsorted(centres, (grid[i] + grid[j]) / 2.0, side="right")
+    cost = ((cum_mc[s] - cum_mc[i]) - grid[i] * (cum_m[s] - cum_m[i])
+            + grid[j] * (cum_m[j] - cum_m[s]) - (cum_mc[j] - cum_mc[s]))
+    cost[j <= i] = np.inf
+    reach = cost[0]
+    back = np.empty((n_levels - 2, cells + 1), dtype=np.intp)
+    for k in range(n_levels - 2):
+        total = reach[:, None] + cost
+        back[k] = np.argmin(total, axis=0)
+        reach = total[back[k], cols]
+    path = [cells]
+    for k in range(n_levels - 3, -1, -1):
+        path.append(back[k, path[-1]])
+    return grid[[0] + path[::-1]]
+
+
+SEED_DENSITIES = {"tent": tent_density, "bimodal": bimodal_density,
+                  "bimodal_deep": lambda: bimodal_density(0.005),
+                  **{f"sampled_{s}": (lambda s=s: sampled_density(s)) for s in range(5)}}
+
+
+class TestSeedSearch:
+    """The monotone search must return the dense DP's seed bit for bit; the
+    first-index argmin is not monotone under ties, so this pins it."""
+
+    @pytest.mark.parametrize("name", sorted(SEED_DENSITIES))
+    def test_equals_dense_dp_two_to_eight_bits(self, name):
+        d = SEED_DENSITIES[name]()
+        for bits in range(2, 9):
+            np.testing.assert_array_equal(q._dp_seed(d, 2 ** bits),
+                                          dense_dp_seed(d, 2 ** bits), err_msg=str(bits))
+
+    @pytest.mark.slow
+    def test_equals_dense_dp_nine_bits(self):
+        d = sampled_density(0)
+        np.testing.assert_array_equal(q._dp_seed(d, 512), dense_dp_seed(d, 512))
 
 
 class TestQuantizationError:
