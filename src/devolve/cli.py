@@ -19,6 +19,7 @@ reads/writes the files named in the config's output section:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -98,6 +99,14 @@ def _check_keys(section: dict, schema: dict, path: str):
             names = (expected.__name__ if isinstance(expected, type)
                      else "/".join(t.__name__ for t in expected))
             raise ConfigError(f"{path}{key} must be {names}, got {type(value).__name__}")
+        elif str(key).endswith("seed") and value < 0:
+            raise ConfigError(f"{path}{key} must be >= 0, got {value}")
+
+
+def _check_layer_keys(section: dict, path: str):
+    for key in section:
+        if not str(key).isdigit():
+            raise ConfigError(f"{path} key {key!r} must be a layer index")
 
 
 def _check_quantization(section: dict, inherited: dict, path: str):
@@ -125,13 +134,20 @@ def validate_config(config: dict):
         raise ConfigError("config requires master_seed")
     quant = config.get("quantization", {})
     top = _check_quantization(quant, _QUANT_DEFAULTS, "quantization.")
-    for layer_key, overrides in quant.get("per_layer", {}).items():
-        if not str(layer_key).isdigit():
-            raise ConfigError(f"quantization.per_layer key {layer_key!r} "
-                              "must be a layer index")
+    per_layer = quant.get("per_layer", {})
+    _check_layer_keys(per_layer, "quantization.per_layer")
+    for layer_key, overrides in per_layer.items():
         path = f"quantization.per_layer.{layer_key}."
         _check_keys(overrides, _QUANT_KEYS, path)
         _check_quantization(overrides, top, path)
+    de = config.get("de", {})
+    targets = de.get("target_sparsity")
+    if isinstance(targets, dict):
+        _check_layer_keys(targets, "de.target_sparsity")
+        _check_keys(targets, dict.fromkeys(targets, (int, float)), "de.target_sparsity.")
+    for i, layer in enumerate(de.get("scope", [])):
+        if not isinstance(layer, int) or isinstance(layer, bool):
+            raise ConfigError(f"de.scope[{i}] must be a layer index, got {layer!r}")
     for i, head in enumerate(config.get("divergence", {}).get("heads", [])):
         if not isinstance(head, dict):
             raise ConfigError(f"divergence.heads[{i}] must be an object")
@@ -191,12 +207,16 @@ def _build_dataset(config: dict, input_shape) -> datasets.ProbeSet:
     data = _require(config, "data")
     if "synthetic" in data:
         s = data["synthetic"]
-        dataset = datasets.synthetic_dataset(
-            s.get("kind", "blobs"), _require(config, "data", "synthetic", "n"),
-            s.get("classes", 2), s.get("seed", config["master_seed"]),
-            feature_dim=s.get("feature_dim", 2),
-            separation=s.get("separation", 5.0),
-        )
+        n = _require(config, "data", "synthetic", "n")
+        try:
+            dataset = datasets.synthetic_dataset(
+                s.get("kind", "blobs"), n, s.get("classes", 2),
+                s.get("seed", config["master_seed"]),
+                feature_dim=s.get("feature_dim", 2),
+                separation=s.get("separation", 5.0),
+            )
+        except ValueError as e:
+            raise ConfigError(f"invalid data.synthetic: {e}")
     elif "idx" in data:
         dataset = datasets.load_idx_dataset(
             _require(config, "data", "idx", "images"),
@@ -216,8 +236,11 @@ def _build_probe(config: dict, dataset: datasets.ProbeSet) -> datasets.ProbeSet:
     probe_cfg = config.get("data", {}).get("probe")
     if not probe_cfg:
         return dataset
-    return datasets.subset(dataset, probe_cfg.get("size", min(1024, dataset.size)),
-                           probe_cfg.get("seed", config["master_seed"]))
+    try:
+        return datasets.subset(dataset, probe_cfg.get("size", min(1024, dataset.size)),
+                               probe_cfg.get("seed", config["master_seed"]))
+    except ValueError as e:
+        raise ConfigError(f"invalid data.probe.size: {e}")
 
 
 def _divergence_spec(config: dict, out_width: int) -> evolution.DivergenceSpec:
@@ -265,10 +288,17 @@ def _load_architecture(config: dict) -> dict:
 def cmd_train(config: dict) -> int:
     arch = _load_architecture(config)
     seed = config.get("model", {}).get("init_seed", config["master_seed"])
-    net = nn.build_network(arch, seed)
+    try:
+        net = nn.build_network(arch, seed)
+    except (KeyError, TypeError, ValueError) as e:
+        raise ConfigError(f"invalid model.architecture: {type(e).__name__} {e}")
     if net.layers and net.layers[-1].kind != "softmax":
         raise ConfigError("cross-entropy training expects a softmax output layer")
     dataset = _build_dataset(config, net.input_shape)
+    width = int(np.prod(net.output_shape))
+    if dataset.labels.max() >= width:
+        raise ConfigError(f"data has {dataset.labels.max() + 1} classes, more than "
+                          f"the network's {width} outputs")
     train_cfg = config.get("train", {})
     epochs = train_cfg.get("epochs", 0)
     lr = train_cfg.get("lr", 0.1)
@@ -296,15 +326,21 @@ def cmd_train(config: dict) -> int:
 
 
 def cmd_sparsify(config: dict) -> int:
+    student_path, mask_path, history_path = (
+        _require(config, "output", key) for key in ("student", "mask", "history"))
     teacher = nn.load_network(_require(config, "model", "path"))
+    cfg = _evolution_config(config)
+    try:
+        evolution.scope_layers(teacher, cfg)
+    except ValueError as e:
+        raise ConfigError(f"invalid de section: {e}")
     dataset = _build_dataset(config, teacher.input_shape)
     probe = _build_probe(config, dataset)
-    cfg = _evolution_config(config)
     spec = _divergence_spec(config, int(np.prod(teacher.output_shape)))
     result = evolution.run(teacher, probe, cfg, spec)
-    nn.save_network(result.student, _require(config, "output", "student"))
-    sparsity.save_mask(result.mask, _require(config, "output", "mask"))
-    evolution.write_history(result.history, _require(config, "output", "history"))
+    nn.save_network(result.student, student_path)
+    sparsity.save_mask(result.mask, mask_path)
+    evolution.write_history(result.history, history_path)
     print(f"status {result.status}")
     print(f"cycles {len(result.history)}")
     print(f"sparsity {sparsity.sparsity(result.mask):.6f}")
@@ -316,9 +352,17 @@ def cmd_sparsify(config: dict) -> int:
 
 
 def cmd_quantize(config: dict) -> int:
+    model_path = _require(config, "output", "quantized")
+    luts_path = _require(config, "output", "luts")
     student = nn.load_network(_require(config, "output", "student"))
     mask = sparsity.load_mask(_require(config, "output", "mask"))
     qcfg = config.get("quantization", {})
+    per_layer = {int(k): v for k, v in qcfg.get("per_layer", {}).items()}
+    params = student.param_layer_indices()
+    for i in per_layer:
+        if i not in params:
+            raise ConfigError(f"quantization.per_layer key '{i}' names no layer with "
+                              f"parameters (those are {params})")
     dataset = _build_dataset(config, student.input_shape)
     probe = _build_probe(config, dataset)
     teacher_outputs = None
@@ -328,7 +372,6 @@ def cmd_quantize(config: dict) -> int:
         teacher = nn.load_network(teacher_path)
         teacher_outputs = nn.forward(teacher, probe.inputs)
         div_spec = _divergence_spec(config, int(np.prod(teacher.output_shape)))
-    per_layer = {int(k): v for k, v in qcfg.get("per_layer", {}).items()}
     model, report = quantize.quantize_network(
         student, mask,
         scheme=qcfg.get("scheme", _QUANT_DEFAULTS["scheme"]),
@@ -339,14 +382,14 @@ def cmd_quantize(config: dict) -> int:
         dataset=dataset if dataset.labels is not None else None,
         teacher_outputs=teacher_outputs, probe=probe, div_spec=div_spec,
     )
-    nn.save_network(model.network, _require(config, "output", "quantized"))
+    nn.save_network(model.network, model_path)
     luts = {"layers": [
         {"layer": lq.layer, "scheme": lq.spec.scheme, "bits": lq.spec.bits,
          "rounding": lq.spec.rounding, "seed": lq.spec.seed,
-         "degenerate": lq.spec.degenerate, "levels": lq.spec.levels.tolist()}
+         "levels": lq.spec.levels.tolist()}
         for lq in model.layers
     ]}
-    with open(_require(config, "output", "luts"), "w") as f:
+    with open(luts_path, "w") as f:
         json.dump(luts, f, sort_keys=True)
     for key in sorted(report):
         print(f"{key} {report[key]:.6f}")
@@ -355,6 +398,7 @@ def cmd_quantize(config: dict) -> int:
 
 
 def cmd_pack(config: dict) -> int:
+    path = _require(config, "output", "packed")
     qnet = nn.load_network(_require(config, "output", "quantized"))
     mask = sparsity.load_mask(_require(config, "output", "mask"))
     with open(_require(config, "output", "luts")) as f:
@@ -363,20 +407,14 @@ def cmd_pack(config: dict) -> int:
     for entry in luts["layers"]:
         spec = quantize.QuantizationSpec(
             entry["scheme"], entry["bits"], entry["rounding"],
-            np.asarray(entry["levels"], dtype=np.float64), entry.get("seed", 0),
-            degenerate=entry.get("degenerate", False),
-        )
+            np.asarray(entry["levels"], dtype=np.float64), entry.get("seed", 0))
         i = entry["layer"]
-        flat = qnet.layers[i].flat_params()
         # values are exact level entries, so nearest lookup recovers the codes
-        codes = quantize.quantize(flat, mask.layer_bits(i),
-                                  quantize.QuantizationSpec(
-                                      spec.scheme, spec.bits, "nearest",
-                                      spec.levels, spec.seed, spec.degenerate))
+        codes = quantize.quantize(qnet.layers[i].flat_params(), mask.layer_bits(i),
+                                  dataclasses.replace(spec, rounding="nearest"))
         quants.append(quantize.LayerQuantization(i, spec, codes))
     packed = packing.pack_model(quantize.QuantizedModel(qnet, mask, quants))
     data = packed.to_bytes()
-    path = _require(config, "output", "packed")
     with open(path, "wb") as f:
         f.write(data)
     report = packing.compression_report(qnet, packed)
@@ -387,10 +425,10 @@ def cmd_pack(config: dict) -> int:
 
 
 def cmd_unpack(config: dict) -> int:
+    path = _require(config, "output", "restored")
     with open(_require(config, "output", "packed"), "rb") as f:
         packed = packing.PackedModel.from_bytes(f.read())
     net, mask = packing.unpack_model(packed)
-    path = _require(config, "output", "restored")
     nn.save_network(net, path)
     print(f"restored {path}")
     print(f"sparsity {sparsity.sparsity(mask):.6f}")

@@ -119,8 +119,15 @@ def synthetic_dataset(kind: str, n: int, classes: int, seed: int,
     trivially perfect. rings: concentric rings in the first two features,
     requiring a nonlinear boundary.
     """
+    if classes < 1:
+        raise ValueError(f"classes must be >= 1, got {classes}")
     if n < classes:
-        raise ValueError(f"need at least one sample per class ({n} < {classes})")
+        raise ValueError(f"n must be at least classes, one sample per class "
+                         f"({n} < {classes})")
+    if feature_dim < (2 if kind == "rings" else 1):
+        raise ValueError(f"feature_dim {feature_dim} is too small for {kind}")
+    if not math.isfinite(separation):
+        raise ValueError(f"separation must be finite, got {separation}")
     kind_tag = int.from_bytes(kind.encode()[:4].ljust(4, b"\0"), "big")
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), kind_tag]))
     labels = _balanced_labels(n, classes)

@@ -54,10 +54,10 @@ class DivergenceSpec:
         for h in self.heads:
             if h.start < 0 or h.stop <= h.start:
                 raise ValueError(f"head columns [{h.start}, {h.stop}) are empty or negative")
-            if h.divisor <= 0:
-                raise ValueError(f"head divisor must be positive, got {h.divisor}")
-            if h.weight < 0:
-                raise ValueError(f"head weight must be nonnegative, got {h.weight}")
+            if not (math.isfinite(h.divisor) and h.divisor > 0):
+                raise ValueError(f"head divisor must be positive and finite, got {h.divisor}")
+            if not (math.isfinite(h.weight) and h.weight >= 0):
+                raise ValueError(f"head weight must be nonnegative and finite, got {h.weight}")
         if not any(h.weight > 0 for h in self.heads):
             raise ValueError("at least one head weight must be positive")
 
@@ -169,18 +169,43 @@ def _trial_rng(master_seed: int, cycle: int, layer: int, trial: int):
     )
 
 
+def _step(net: Network, layer: int, cfg: EvolutionConfig) -> tuple[int, np.ndarray]:
+    """The nominal step, ceil(step_fraction * layer parameter count), and the
+    layer's prunable indices, which must hold it."""
+    pool = prunable_indices(net, layer, cfg.include_biases)
+    nominal = math.ceil(cfg.step_fraction * net.layer_param_count(layer))
+    if nominal > pool.size:
+        raise ValueError(
+            f"step_fraction {cfg.step_fraction} gives a nominal step of {nominal}, "
+            f"more than the {pool.size} prunable positions of layer {layer}"
+        )
+    return nominal, pool
+
+
+def scope_layers(net: Network, cfg: EvolutionConfig) -> list[int]:
+    """The layers `run` sweeps on `net`, every parameter layer unless
+    cfg.scope names some. Raises ValueError, naming the setting, when a scope
+    layer or a target_sparsity key is not a parameter layer of `net`, or when
+    a scope layer cannot hold the nominal step."""
+    params = net.param_layer_indices()
+    scope = list(cfg.scope) if cfg.scope is not None else params
+    targets = list(cfg.target_sparsity) if isinstance(cfg.target_sparsity, dict) else []
+    for name, layers in (("scope", scope), ("target_sparsity", targets)):
+        for layer in layers:
+            if layer not in params:
+                raise ValueError(f"{name} names layer {layer}, which is not one of "
+                                 f"the layers with parameters {params}")
+    for layer in scope:
+        _step(net, layer, cfg)
+    return scope
+
+
 def propose_candidates(net: Network, layer: int, cfg: EvolutionConfig,
                        cycle: int) -> list[CandidateSet]:
     """One candidate per trial, each of nominal size
     ceil(step_fraction * layer parameter count), sampled without replacement
     over all prunable indices of the layer (already-zeroed ones included)."""
-    pool = prunable_indices(net, layer, cfg.include_biases)
-    nominal = math.ceil(cfg.step_fraction * net.layer_param_count(layer))
-    if nominal > pool.size:
-        raise ValueError(
-            f"nominal step {nominal} exceeds the {pool.size} prunable "
-            f"positions of layer {layer}"
-        )
+    nominal, pool = _step(net, layer, cfg)
     out = []
     for t in range(cfg.trials_per_cycle):
         rng = _trial_rng(cfg.master_seed, cycle, layer, t)
@@ -305,10 +330,7 @@ def run(teacher: Network, probe: ProbeSet, cfg: EvolutionConfig,
         raise ValueError("probe set must be nonempty")
     if spec is None:
         spec = DivergenceSpec.whole_output(int(np.prod(teacher.output_shape)))
-    scope = list(cfg.scope) if cfg.scope is not None else teacher.param_layer_indices()
-    for layer in scope:
-        if not teacher.layers[layer].param_tensors():
-            raise ValueError(f"scope layer {layer} has no parameters")
+    scope = scope_layers(teacher, cfg)
 
     teacher_outputs = nn.forward(teacher, probe.inputs)  # teacher is frozen
     student = teacher.copy()

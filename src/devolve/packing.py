@@ -352,11 +352,10 @@ def pack_model(qmodel: QuantizedModel) -> PackedModel:
         if shapes:
             lq = by_layer[i]
             n_levels = lq.spec.levels.size
-            lut_bits = lq.spec.bits if not lq.spec.degenerate else 0
-            if n_levels != 2 ** lut_bits:
+            if n_levels != 2 ** lq.spec.bits:  # an identity table
                 raise ValueError(
                     f"layer {i}: {n_levels} levels cannot pack into "
-                    f"{lut_bits}-bit codes"
+                    f"{lq.spec.bits}-bit codes"
                 )
             freqs = {int(s): int(c) for s, c in
                      zip(*np.unique(lq.codes, return_counts=True))}
@@ -365,7 +364,7 @@ def pack_model(qmodel: QuantizedModel) -> PackedModel:
                      else HuffmanTable(np.zeros(n_levels, dtype=np.uint8)))
             pl.mask_tag, pl.mask_payload, pl.payload, pl.payload_bit_length = (
                 encode_layer(mask.layer_bits(i), lq.codes, table))
-            pl.lut_bits = lut_bits
+            pl.lut_bits = lq.spec.bits
             pl.lut_levels = lq.spec.levels.astype("<f4")
             pl.code_lengths = table.lengths
         layers.append(pl)
@@ -383,11 +382,8 @@ def unpack_model(packed: PackedModel) -> tuple[Network, SparsityMask]:
             if not pl.shapes:
                 layers.append(nn._layer_from_parts(pl.kind, pl.hyper, []))
                 continue
-            spec = QuantizationSpec(
-                "uniform_affine", max(pl.lut_bits, 1), "nearest",
-                pl.lut_levels.astype(np.float64),
-                degenerate=pl.lut_levels.size == 1,
-            )
+            spec = QuantizationSpec("uniform_affine", pl.lut_bits, "nearest",
+                                    pl.lut_levels.astype(np.float64))
             bits, flat, _ = decode_layer(
                 pl.mask_tag, pl.mask_payload, pl.payload, pl.payload_bit_length,
                 pl.size, HuffmanTable(pl.code_lengths), spec)

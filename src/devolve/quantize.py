@@ -151,8 +151,8 @@ def uniform_density(lo: float, hi: float, bins: int = 16) -> Density:
 
 def uniform_levels(w_min: float, w_max: float, bits: int, scheme: str) -> np.ndarray:
     """Equally spaced level tables; see the module docstring for the two
-    variants. A degenerate range yields a single-level table (the caller
-    flags it)."""
+    variants. An empty range (w_min == w_max) yields a one-level, 0-bit
+    table."""
     if bits < 1:
         raise ValueError("bits must be >= 1")
     if w_min > w_max:
@@ -423,7 +423,6 @@ class QuantizationSpec:
     rounding: str
     levels: np.ndarray
     seed: int = 0
-    degenerate: bool = False
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
@@ -437,8 +436,7 @@ class QuantizationSpec:
             raise ValueError("levels must be finite")
         if (np.diff(self.levels) <= 0).any():
             raise ValueError("levels must be strictly increasing")
-        if self.scheme != "identity" and not self.degenerate \
-                and self.levels.size != 2 ** self.bits:
+        if self.scheme != "identity" and self.levels.size != 2 ** self.bits:
             raise ValueError(
                 f"{self.scheme} expects {2 ** self.bits} levels, "
                 f"got {self.levels.size}"
@@ -454,12 +452,11 @@ def build_spec(values: np.ndarray, scheme: str, bits: int,
     w_min, w_max = float(values.min()), float(values.max())
     if scheme == "identity":
         levels = np.unique(values)
-        eff_bits = max(1, math.ceil(math.log2(levels.size)) if levels.size > 1 else 1)
-        return QuantizationSpec("identity", eff_bits, rounding, levels, seed,
-                                degenerate=levels.size == 1)
+        # ceil(log2(size)) bits, 0 for a single value
+        return QuantizationSpec("identity", (levels.size - 1).bit_length(), rounding,
+                                levels, seed)
     if w_min == w_max:
-        return QuantizationSpec(scheme, 0, rounding, np.array([w_min]), seed,
-                                degenerate=True)
+        return QuantizationSpec(scheme, 0, rounding, np.array([w_min]), seed)
     if scheme in ("uniform_scale", "uniform_affine"):
         levels = uniform_levels(w_min, w_max, bits, scheme)
     elif scheme == "optimal_density":
@@ -473,12 +470,11 @@ def build_spec(values: np.ndarray, scheme: str, bits: int,
 def quantize(weights: np.ndarray, mask_bits: Optional[np.ndarray],
              spec: QuantizationSpec) -> np.ndarray:
     """Codes for the surviving weights, in flat-index order. Masked positions
-    produce no code (their zeros live in the mask)."""
+    produce no code (their zeros live in the mask), so a fully masked layer
+    gives none."""
     flat = np.asarray(weights, dtype=np.float64).reshape(-1)
     if mask_bits is not None:
         flat = flat[~np.asarray(mask_bits, dtype=bool)]
-    if flat.size == 0:
-        raise ValueError("no surviving weights to quantize")
     levels = spec.levels
     if levels.size == 1:
         return np.zeros(flat.size, dtype=np.uint32)
@@ -543,18 +539,14 @@ def quantize_network(student: Network, mask: SparsityMask,
         l_rounding = overrides.get("rounding", rounding)
         flat, mask_bits = student.layers[i].flat_params(), mask.layer_bits(i)
         layer_seed = int(np.random.SeedSequence([int(seed), i]).generate_state(1)[0])
-        if not (~mask_bits).any():
-            # fully pruned layer: no codes, a placeholder single-entry table
-            spec = QuantizationSpec(l_scheme, 0, l_rounding, np.array([0.0]),
-                                    layer_seed, degenerate=True)
-            codes = np.empty(0, dtype=np.uint32)
-            restored = np.zeros_like(flat)
+        if mask_bits.all():  # fully pruned layer: no codes, a 0-bit placeholder table
+            spec = QuantizationSpec(l_scheme, 0, l_rounding, np.array([0.0]), layer_seed)
         else:
             spec = build_spec(flat[~mask_bits], l_scheme, l_bits, l_rounding,
                               seed=layer_seed)
-            codes = quantize(flat, mask_bits, spec)
-            restored = np.zeros_like(flat)
-            restored[~mask_bits] = dequantize(codes, spec)
+        codes = quantize(flat, mask_bits, spec)
+        restored = np.zeros_like(flat)
+        restored[~mask_bits] = dequantize(codes, spec)
         layers[i] = student.layers[i].with_flat_params(restored)
         quants.append(LayerQuantization(i, spec, codes))
     qnet = Network(layers, student.input_shape)

@@ -164,8 +164,7 @@ def test_criterion_5_huffman_and_container():
         tag, mask_payload, payload, bit_len = packing.encode_layer(
             mask_bits, codes, table)
         spec = quantize.QuantizationSpec(
-            "uniform_affine", bits, "nearest", np.linspace(-1.0, 1.0, n_sym),
-            degenerate=n_sym == 1)
+            "uniform_affine", bits, "nearest", np.linspace(-1.0, 1.0, n_sym))
         back_bits, _, back_codes = packing.decode_layer(
             tag, mask_payload, payload, bit_len, n, table, spec)
         assert (back_bits == mask_bits).all() and (back_codes == codes).all(), \

@@ -318,6 +318,36 @@ class TestPipeline:
         acc_quantized = quantized_out.splitlines()[0]
         assert acc_restored == acc_quantized
 
+    # a whole-layer step with prunable biases zeroes layer 0 in one sweep
+    FULLY_PRUNED = ["--set", "de.include_biases=true", "--set", "de.step_fraction=1.0",
+                    "--set", 'de.target_sparsity={"0": 1.0}']
+
+    def test_fully_pruned_layer_round_trip(self, tmp_path, capsys):
+        path, _ = pipeline_config(tmp_path)
+        for cmd in ("train", "sparsify", "quantize", "pack", "unpack"):
+            assert main([cmd, "--config", str(path), *self.FULLY_PRUNED]) == 0, \
+                capsys.readouterr().err
+        entry = json.loads((tmp_path / "luts.json").read_text())["layers"][0]
+        assert entry["layer"] == 0 and entry["bits"] == 0 and entry["levels"] == [0.0]
+        assert "degenerate" not in entry
+        restored = nn.load_network(str(tmp_path / "restored.devn"))
+        assert not restored.layers[0].flat_params().any()
+        assert restored.layers[2].flat_params().any()
+
+    def test_luts_with_degenerate_key_pack_to_same_bytes(self, tmp_path, capsys):
+        # luts.json files once flagged each one-entry table "degenerate"
+        path, _ = pipeline_config(tmp_path)
+        for cmd in ("train", "sparsify", "quantize", "pack"):
+            assert main([cmd, "--config", str(path), *self.FULLY_PRUNED]) == 0
+        packed = (tmp_path / "model.devp").read_bytes()
+        luts = json.loads((tmp_path / "luts.json").read_text())
+        for entry in luts["layers"]:
+            entry["degenerate"] = len(entry["levels"]) == 1
+        assert luts["layers"][0]["degenerate"]
+        (tmp_path / "luts.json").write_text(json.dumps(luts, sort_keys=True))
+        assert main(["pack", "--config", str(path), *self.FULLY_PRUNED]) == 0
+        assert (tmp_path / "model.devp").read_bytes() == packed
+
 
 CONV_ARCH = {"input_shape": [8, 8, 1], "layers": [
     {"kind": "conv2d", "filters": 4, "kernel": 3, "padding": "same"},
