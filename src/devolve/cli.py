@@ -12,14 +12,15 @@ reads/writes the files named in the config's output section:
     devolve report   --config run.json      summary of a history CSV
 
 `--set section.key=value` overrides config entries (values parsed as JSON);
-`--workers N` overrides evolution trial parallelism. Exit codes: 0 success,
-1 config validation error, 2 runtime error.
+`--workers N` is `--set de.workers=N`. Exit codes: 0 success, 1 config
+validation error, 2 runtime error.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -35,129 +36,174 @@ class ConfigError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Config schema
+# Config table
 # ---------------------------------------------------------------------------
 
-_SCHEMA = {
-    "master_seed": int,
-    "model": {
-        "architecture": dict,
-        "architecture_path": str,
-        "path": str,
-        "init_seed": int,
-    },
-    "data": {
-        "synthetic": {
-            "kind": str, "n": int, "classes": int, "seed": int,
-            "feature_dim": int, "separation": (int, float),
-        },
-        "idx": {"images": str, "labels": str},
-        "probe": {"size": int, "seed": int},
-    },
-    "train": {"epochs": int, "lr": (int, float), "batch_size": int},
-    "de": {
-        "trials_per_cycle": int, "step_fraction": (int, float),
-        "target_sparsity": (int, float, dict),
-        "divergence_budget": (int, float, type(None)),
-        "retrain_epochs": int, "retrain_lr": (int, float),
-        "retrain_batch_size": int, "scope": list, "include_biases": bool,
-        "workers": int, "max_cycles": int, "master_seed": int,
-    },
-    "divergence": {"heads": list},
-    "quantization": {
-        "scheme": str, "bits": int, "rounding": str, "seed": int,
-        "per_layer": dict,
-    },
-    "eval": {"model": str, "teacher": str},
-    "output": {
-        "model": str, "student": str, "mask": str, "history": str,
-        "quantized": str, "luts": str, "packed": str, "restored": str,
-    },
-}
+REQUIRED = dataclasses.MISSING
+LAYER = "<layer>"  # a section keyed by layer index holds this one key
 
-_QUANT_KEYS = {"scheme": str, "bits": int, "rounding": str}
-_QUANT_DEFAULTS = {"scheme": "uniform_affine", "bits": 8, "rounding": "nearest"}
+
+class Same(str):
+    """A default: the resolved value of the key at this dotted path."""
+
+
+@dataclasses.dataclass(frozen=True)
+class Key:
+    """One config key: its kind, its default and, where the CLI itself uses
+    the value, its range: one of `choices`, or a number that is finite and
+    >= `low` (> `low` when `strict`)."""
+    kind: Any
+    default: Any = None
+    low: Optional[float] = None
+    strict: bool = False
+    choices: tuple = ()
+
+    def range_text(self) -> str:
+        if self.choices:
+            return f"one of {', '.join(self.choices)}"
+        text = f"{'>' if self.strict else '>='} {self.low:g}"
+        return text + " and finite" if self.kind is float else text
+
+
+def _dataclass_keys(cls, **kinds) -> dict:
+    """Keys for `cls`'s fields with the fields' defaults; a Key overrides."""
+    defaults = {f.name: f.default for f in dataclasses.fields(cls)}
+    return {name: kind if isinstance(kind, Key) else Key(kind, defaults[name])
+            for name, kind in kinds.items()}
+
+
 # Bit widths `devolve quantize` and `pack` can run, per scheme. uniform_scale
 # needs a sign bit, and the level solver is measured up to 10 bits. The
 # `identity` scheme's tables are not 2^bits long, so no container holds them.
 _BIT_RANGES = {"uniform_scale": (2, 16), "uniform_affine": (1, 16),
                "optimal_density": (1, 10)}
-_HEAD_KEYS = {"start": int, "stop": int, "divisor": (int, float),
-              "weight": (int, float)}
+_SEED = Key(int, Same("master_seed"), low=0)
+_QUANT = {"scheme": Key(str, "uniform_affine", choices=tuple(_BIT_RANGES)),
+          "bits": Key(int, 8), "rounding": Key(str, "nearest", choices=quantize.ROUNDINGS)}
+
+# Every config key. A kind is int, float (any number), str, bool, dict (any
+# object), None (null), a section (a dict of keys, keyed by layer index if it
+# holds LAYER), a list holding the kind of each item, or a tuple of these; a
+# bool is never a number. A default is a value, a Same, REQUIRED (a present
+# section must set the key) or None (unset: the command that needs the key
+# exits 1). A plain dict is a section that is always there.
+_SCHEMA = {
+    "master_seed": Key(int, REQUIRED, low=0),
+    "model": {"architecture": Key(dict), "architecture_path": Key(str),
+              "path": Key(str), "init_seed": _SEED},
+    "data": {
+        "synthetic": Key({
+            "kind": Key(str, "blobs"), "n": Key(int, REQUIRED), "classes": Key(int, 2),
+            "seed": _SEED, "feature_dim": Key(int, 2), "separation": Key(float, 5.0),
+        }),
+        "idx": Key({"images": Key(str, REQUIRED), "labels": Key(str, REQUIRED)}),
+        "probe": Key({"size": Key(int, REQUIRED), "seed": _SEED}),
+    },
+    "train": {"epochs": Key(int, low=0), "lr": Key(float, 0.1, low=0, strict=True),
+              "batch_size": Key(int, 64, low=1)},
+    "de": _dataclass_keys(
+        evolution.EvolutionConfig,
+        trials_per_cycle=int, step_fraction=float,
+        target_sparsity=(float, {LAYER: Key(float)}), divergence_budget=(float, None),
+        retrain_epochs=int, retrain_lr=float, retrain_batch_size=int,
+        scope=[Key(int)], include_biases=bool, workers=int, max_cycles=int,
+        master_seed=_SEED),
+    "divergence": {"heads": Key([Key(_dataclass_keys(
+        evolution.Head, start=int, stop=int, divisor=float, weight=float))])},
+    "quantization": {**_QUANT, "seed": _SEED, "per_layer": Key({LAYER: Key({
+        name: dataclasses.replace(key, default=Same(f"quantization.{name}"))
+        for name, key in _QUANT.items()})}, {})},
+    "eval": {"model": Key(str), "teacher": Key(str)},
+    "output": dict.fromkeys(("model", "student", "mask", "history", "quantized", "luts",
+                             "packed", "restored"), Key(str)),
+}
+_TYPE_NAMES = {int: "int", float: "number", str: "str", bool: "bool", dict: "object",
+               list: "list", None: "null"}
 
 
-def _check_keys(section: dict, schema: dict, path: str):
-    for key, value in section.items():
-        if key not in schema:
-            raise ConfigError(f"unknown config key {path}{key}")
-        expected = schema[key]
-        if isinstance(expected, dict):
-            if not isinstance(value, dict):
-                raise ConfigError(f"{path}{key} must be an object")
-            _check_keys(value, expected, f"{path}{key}.")
-        elif not isinstance(value, expected) or isinstance(value, bool) and expected is int:
-            names = (expected.__name__ if isinstance(expected, type)
-                     else "/".join(t.__name__ for t in expected))
-            raise ConfigError(f"{path}{key} must be {names}, got {type(value).__name__}")
-        elif str(key).endswith("seed") and value < 0:
-            raise ConfigError(f"{path}{key} must be >= 0, got {value}")
+def _json_type(kind):
+    return type(kind) if isinstance(kind, (dict, list)) else kind
 
 
-def _check_layer_keys(section: dict, path: str):
-    for key in section:
-        if not str(key).isdigit():
-            raise ConfigError(f"{path} key {key!r} must be a layer index")
+def _matches(value, kind) -> bool:
+    t = _json_type(kind)
+    if t is None or isinstance(value, bool):
+        return value is t or t is bool
+    return isinstance(value, (int, float) if t is float else t)
 
 
-def _check_quantization(section: dict, inherited: dict, path: str):
-    """The scheme, rounding and bits that `section` sets or inherits must be
-    ones the quantize and pack stages can run."""
-    q = {**inherited, **section}
-    if q["scheme"] not in _BIT_RANGES:
-        raise ConfigError(f"{path}scheme must be one of {', '.join(_BIT_RANGES)}, "
-                          f"got {q['scheme']!r}")
-    if q["rounding"] not in quantize.ROUNDINGS:
-        raise ConfigError(f"{path}rounding must be one of "
-                          f"{', '.join(quantize.ROUNDINGS)}, got {q['rounding']!r}")
+def _resolve(value, key: Key, path: str):
+    """`value` checked against `key`, with the defaults below it filled in."""
+    kinds = key.kind if isinstance(key.kind, tuple) else (key.kind,)
+    for kind in kinds:
+        if _matches(value, kind):
+            break
+    else:
+        names = "/".join(_TYPE_NAMES[_json_type(k)] for k in kinds)
+        raise ConfigError(f"{path} must be {names}, got {type(value).__name__}")
+    if isinstance(kind, dict):
+        return _resolve_section(value, kind, path + ".")
+    if isinstance(kind, list):
+        return [_resolve(v, kind[0], f"{path}[{i}]") for i, v in enumerate(value)]
+    if key.choices and value not in key.choices or key.low is not None and not (
+            math.isfinite(value) and (value > key.low if key.strict else value >= key.low)):
+        raise ConfigError(f"{path} must be {key.range_text()}, got {value!r}")
+    return value
+
+
+def _resolve_section(section: dict, table: dict, path: str) -> dict:
+    if LAYER in table:
+        for name in section:
+            if not str(name).isdigit():
+                raise ConfigError(f"{path[:-1]} key {name!r} must be a layer index")
+        return {int(k): _resolve(v, table[LAYER], path + str(k)) for k, v in section.items()}
+    for name in section.keys() - table.keys():
+        raise ConfigError(f"unknown config key {path}{name}")
+    out = {}
+    for name, key in table.items():
+        key = key if isinstance(key, Key) else Key(key, {})
+        if name in section:
+            out[name] = _resolve(section[name], key, path + name)
+        elif key.default is REQUIRED:
+            raise ConfigError(f"config requires {path}{name}")
+        elif key.default is None or isinstance(key.default, Same):
+            out[name] = key.default
+        else:
+            out[name] = _resolve(key.default, key, path + name)
+    return out
+
+
+def _fill_same(node, root: dict):
+    for k, v in node.items() if isinstance(node, dict) else enumerate(node):
+        if isinstance(v, Same):
+            node[k] = functools.reduce(dict.get, v.split("."), root)
+        elif isinstance(v, (dict, list)):
+            _fill_same(v, root)
+
+
+def _check_bits(q: dict, path: str):
     lo, hi = _BIT_RANGES[q["scheme"]]
     if not lo <= q["bits"] <= hi:
         raise ConfigError(f"{path}bits must be in {lo}..{hi} for {q['scheme']}, "
                           f"got {q['bits']}")
-    return q
 
 
-def validate_config(config: dict):
+def validate_config(config: dict) -> dict:
+    """The config checked against `_SCHEMA`, with every default filled in and
+    per-layer maps keyed by int."""
     if not isinstance(config, dict):
         raise ConfigError("config must be a JSON object")
-    _check_keys(config, _SCHEMA, "")
-    if "master_seed" not in config:
-        raise ConfigError("config requires master_seed")
-    quant = config.get("quantization", {})
-    top = _check_quantization(quant, _QUANT_DEFAULTS, "quantization.")
-    per_layer = quant.get("per_layer", {})
-    _check_layer_keys(per_layer, "quantization.per_layer")
-    for layer_key, overrides in per_layer.items():
-        path = f"quantization.per_layer.{layer_key}."
-        _check_keys(overrides, _QUANT_KEYS, path)
-        _check_quantization(overrides, top, path)
-    de = config.get("de", {})
-    targets = de.get("target_sparsity")
-    if isinstance(targets, dict):
-        _check_layer_keys(targets, "de.target_sparsity")
-        _check_keys(targets, dict.fromkeys(targets, (int, float)), "de.target_sparsity.")
-    for i, layer in enumerate(de.get("scope", [])):
-        if not isinstance(layer, int) or isinstance(layer, bool):
-            raise ConfigError(f"de.scope[{i}] must be a layer index, got {layer!r}")
-    for i, head in enumerate(config.get("divergence", {}).get("heads", [])):
-        if not isinstance(head, dict):
-            raise ConfigError(f"divergence.heads[{i}] must be an object")
-        _check_keys(head, _HEAD_KEYS, f"divergence.heads[{i}].")
-        for required in ("start", "stop"):
-            if required not in head:
-                raise ConfigError(f"divergence.heads[{i}] requires {required}")
+    resolved = _resolve_section(config, _SCHEMA, "")
+    _fill_same(resolved, resolved)
+    quant = resolved["quantization"]
+    _check_bits(quant, "quantization.")
+    for layer, q in quant["per_layer"].items():
+        _check_bits(q, f"quantization.per_layer.{layer}.")
+    return resolved
 
 
-def load_config(path: str) -> dict:
+def load_config(path: str, overrides: list[str] = ()) -> dict:
+    """The resolved config in `path`, with `overrides` applied first."""
     try:
         with open(path) as f:
             config = json.load(f)
@@ -165,11 +211,12 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as e:
         raise ConfigError(f"config is not valid JSON: {e}")
-    validate_config(config)
-    return config
+    return apply_overrides(config, overrides)
 
 
-def apply_overrides(config: dict, sets: list[str]):
+def apply_overrides(config: dict, sets: list[str]) -> dict:
+    """Applies each `section.key=value` to `config` in place; returns the
+    resolved config."""
     for item in sets:
         if "=" not in item:
             raise ConfigError(f"--set expects section.key=value, got {item!r}")
@@ -185,16 +232,13 @@ def apply_overrides(config: dict, sets: list[str]):
             if not isinstance(node, dict):
                 raise ConfigError(f"cannot override through non-object {part}")
         node[parts[-1]] = value
-    validate_config(config)
+    return validate_config(config)
 
 
-def _require(config: dict, *path: str):
-    node: Any = config
-    for part in path:
-        if not isinstance(node, dict) or part not in node:
-            raise ConfigError(f"config requires {'.'.join(path)}")
-        node = node[part]
-    return node
+def _require(config: dict, section: str, key: str):
+    if config[section][key] is None:
+        raise ConfigError(f"config requires {section}.{key}")
+    return config[section][key]
 
 
 # ---------------------------------------------------------------------------
@@ -204,24 +248,14 @@ def _require(config: dict, *path: str):
 def _build_dataset(config: dict, input_shape) -> datasets.ProbeSet:
     """The configured dataset with its inputs shaped to `input_shape`, the
     network's, so IDX images [n,28,28] fit both [784] and [28,28,1]."""
-    data = _require(config, "data")
-    if "synthetic" in data:
-        s = data["synthetic"]
-        n = _require(config, "data", "synthetic", "n")
+    data = config["data"]
+    if data["synthetic"] is not None:
         try:
-            dataset = datasets.synthetic_dataset(
-                s.get("kind", "blobs"), n, s.get("classes", 2),
-                s.get("seed", config["master_seed"]),
-                feature_dim=s.get("feature_dim", 2),
-                separation=s.get("separation", 5.0),
-            )
+            dataset = datasets.synthetic_dataset(**data["synthetic"])
         except ValueError as e:
             raise ConfigError(f"invalid data.synthetic: {e}")
-    elif "idx" in data:
-        dataset = datasets.load_idx_dataset(
-            _require(config, "data", "idx", "images"),
-            _require(config, "data", "idx", "labels"),
-        )
+    elif data["idx"] is not None:
+        dataset = datasets.load_idx_dataset(data["idx"]["images"], data["idx"]["labels"])
     else:
         raise ConfigError("data section needs either synthetic or idx")
     shape = dataset.inputs.shape[1:]
@@ -233,50 +267,45 @@ def _build_dataset(config: dict, input_shape) -> datasets.ProbeSet:
 
 
 def _build_probe(config: dict, dataset: datasets.ProbeSet) -> datasets.ProbeSet:
-    probe_cfg = config.get("data", {}).get("probe")
-    if not probe_cfg:
+    probe = config["data"]["probe"]
+    if probe is None:
         return dataset
     try:
-        return datasets.subset(dataset, probe_cfg.get("size", min(1024, dataset.size)),
-                               probe_cfg.get("seed", config["master_seed"]))
+        return datasets.subset(dataset, probe["size"], probe["seed"])
     except ValueError as e:
         raise ConfigError(f"invalid data.probe.size: {e}")
 
 
 def _divergence_spec(config: dict, out_width: int) -> evolution.DivergenceSpec:
-    heads_cfg = config.get("divergence", {}).get("heads")
-    if not heads_cfg:
+    heads = config["divergence"]["heads"]
+    if not heads:
         return evolution.DivergenceSpec.whole_output(out_width)
-    heads = [evolution.Head(h["start"], h["stop"], h.get("divisor", 1.0),
-                            h.get("weight", 1.0)) for h in heads_cfg]
     for i, h in enumerate(heads):
-        if h.stop > out_width:
-            raise ConfigError(f"divergence.heads[{i}] stop {h.stop} exceeds "
+        if h["stop"] > out_width:
+            raise ConfigError(f"divergence.heads[{i}] stop {h['stop']} exceeds "
                               f"the output width {out_width}")
     try:
-        return evolution.DivergenceSpec(heads)
+        return evolution.DivergenceSpec([evolution.Head(**h) for h in heads])
     except ValueError as e:
         raise ConfigError(f"invalid divergence heads: {e}")
 
 
-def _evolution_config(config: dict) -> evolution.EvolutionConfig:
-    de = config.get("de", {})
-    kwargs = dict(de)
-    if "target_sparsity" in kwargs and isinstance(kwargs["target_sparsity"], dict):
-        kwargs["target_sparsity"] = {int(k): float(v)
-                                     for k, v in kwargs["target_sparsity"].items()}
-    kwargs.setdefault("master_seed", config["master_seed"])
+def _evolution_config(config: dict, teacher: Optional[nn.Network] = None):
+    """The de section as an EvolutionConfig, its scope checked against `teacher`."""
     try:
-        return evolution.EvolutionConfig(**kwargs)
-    except (TypeError, ValueError) as e:
+        cfg = evolution.EvolutionConfig(**config["de"])
+        if teacher is not None:
+            evolution.scope_layers(teacher, cfg)
+        return cfg
+    except ValueError as e:
         raise ConfigError(f"invalid de section: {e}")
 
 
 def _load_architecture(config: dict) -> dict:
-    model = _require(config, "model")
-    if "architecture" in model:
+    model = config["model"]
+    if model["architecture"] is not None:
         return model["architecture"]
-    if "architecture_path" in model:
+    if model["architecture_path"] is not None:
         return nn.load_architecture(model["architecture_path"])
     raise ConfigError("model section needs architecture or architecture_path")
 
@@ -287,9 +316,8 @@ def _load_architecture(config: dict) -> dict:
 
 def cmd_train(config: dict) -> int:
     arch = _load_architecture(config)
-    seed = config.get("model", {}).get("init_seed", config["master_seed"])
     try:
-        net = nn.build_network(arch, seed)
+        net = nn.build_network(arch, config["model"]["init_seed"])
     except (KeyError, TypeError, ValueError) as e:
         raise ConfigError(f"invalid model.architecture: {type(e).__name__} {e}")
     if net.layers and net.layers[-1].kind != "softmax":
@@ -299,14 +327,8 @@ def cmd_train(config: dict) -> int:
     if dataset.labels.max() >= width:
         raise ConfigError(f"data has {dataset.labels.max() + 1} classes, more than "
                           f"the network's {width} outputs")
-    train_cfg = config.get("train", {})
-    epochs = train_cfg.get("epochs", 0)
-    lr = train_cfg.get("lr", 0.1)
-    bs = train_cfg.get("batch_size", 64)
-    if not (math.isfinite(lr) and lr > 0):
-        raise ConfigError(f"train.lr must be positive and finite, got {lr}")
-    if bs < 1:
-        raise ConfigError(f"train.batch_size must be >= 1, got {bs}")
+    epochs = _require(config, "train", "epochs")
+    lr, bs = config["train"]["lr"], config["train"]["batch_size"]
     path = _require(config, "output", "model")
     n = dataset.size
     for epoch in range(epochs):
@@ -329,11 +351,7 @@ def cmd_sparsify(config: dict) -> int:
     student_path, mask_path, history_path = (
         _require(config, "output", key) for key in ("student", "mask", "history"))
     teacher = nn.load_network(_require(config, "model", "path"))
-    cfg = _evolution_config(config)
-    try:
-        evolution.scope_layers(teacher, cfg)
-    except ValueError as e:
-        raise ConfigError(f"invalid de section: {e}")
+    cfg = _evolution_config(config, teacher)
     dataset = _build_dataset(config, teacher.input_shape)
     probe = _build_probe(config, dataset)
     spec = _divergence_spec(config, int(np.prod(teacher.output_shape)))
@@ -356,29 +374,24 @@ def cmd_quantize(config: dict) -> int:
     luts_path = _require(config, "output", "luts")
     student = nn.load_network(_require(config, "output", "student"))
     mask = sparsity.load_mask(_require(config, "output", "mask"))
-    qcfg = config.get("quantization", {})
-    per_layer = {int(k): v for k, v in qcfg.get("per_layer", {}).items()}
+    q = config["quantization"]
     params = student.param_layer_indices()
-    for i in per_layer:
+    for i in q["per_layer"]:
         if i not in params:
             raise ConfigError(f"quantization.per_layer key '{i}' names no layer with "
                               f"parameters (those are {params})")
     dataset = _build_dataset(config, student.input_shape)
     probe = _build_probe(config, dataset)
-    teacher_outputs = None
-    div_spec = None
-    teacher_path = config.get("model", {}).get("path")
+    teacher_outputs = div_spec = None
+    teacher_path = config["model"]["path"]
     if teacher_path:
         teacher = nn.load_network(teacher_path)
         teacher_outputs = nn.forward(teacher, probe.inputs)
         div_spec = _divergence_spec(config, int(np.prod(teacher.output_shape)))
     model, report = quantize.quantize_network(
         student, mask,
-        scheme=qcfg.get("scheme", _QUANT_DEFAULTS["scheme"]),
-        bits=qcfg.get("bits", _QUANT_DEFAULTS["bits"]),
-        rounding=qcfg.get("rounding", _QUANT_DEFAULTS["rounding"]),
-        seed=qcfg.get("seed", config["master_seed"]),
-        per_layer=per_layer,
+        scheme=q["scheme"], bits=q["bits"], rounding=q["rounding"], seed=q["seed"],
+        per_layer=q["per_layer"],
         dataset=dataset if dataset.labels is not None else None,
         teacher_outputs=teacher_outputs, probe=probe, div_spec=div_spec,
     )
@@ -414,9 +427,8 @@ def cmd_pack(config: dict) -> int:
                                   dataclasses.replace(spec, rounding="nearest"))
         quants.append(quantize.LayerQuantization(i, spec, codes))
     packed = packing.pack_model(quantize.QuantizedModel(qnet, mask, quants))
-    data = packed.to_bytes()
     with open(path, "wb") as f:
-        f.write(data)
+        f.write(packed.to_bytes())
     report = packing.compression_report(qnet, packed)
     print(f"packed {path}")
     for line in report.lines():
@@ -436,12 +448,11 @@ def cmd_unpack(config: dict) -> int:
 
 
 def cmd_eval(config: dict) -> int:
-    model_path = _require(config, "eval", "model")
-    net = nn.load_network(model_path)
+    net = nn.load_network(_require(config, "eval", "model"))
     dataset = _build_dataset(config, net.input_shape)
     if dataset.labels is not None:
         print(f"accuracy {nn.accuracy(net, dataset):.6f}")
-    teacher_path = config.get("eval", {}).get("teacher")
+    teacher_path = config["eval"]["teacher"]
     if teacher_path:
         teacher = nn.load_network(teacher_path)
         spec = _divergence_spec(config, int(np.prod(teacher.output_shape)))
@@ -454,9 +465,8 @@ def cmd_eval(config: dict) -> int:
 
 def cmd_report(config: dict) -> int:
     rows = evolution.read_history(_require(config, "output", "history"))
-    header = f"{'cycle':>5} {'layer':>5} {'sparsity':>9} {'mean':>12} {'std':>12} {'best':>12}"
-    print(header)
-    last = -1.0
+    print(f"{'cycle':>5} {'layer':>5} {'sparsity':>9} {'mean':>12} {'std':>12} {'best':>12}")
+    by_layer: dict[int, float] = {}
     for row in rows:
         if row["best"] > row["mean"] + 1e-12:
             raise ValueError(
@@ -464,8 +474,6 @@ def cmd_report(config: dict) -> int:
             )
         print(f"{row['cycle']:>5} {row['layer']:>5} {row['sparsity_after']:>9.4f} "
               f"{row['mean']:>12.5e} {row['std']:>12.5e} {row['best']:>12.5e}")
-    by_layer: dict[int, float] = {}
-    for row in rows:
         prev = by_layer.get(row["layer"], -1.0)
         if row["sparsity_after"] + 1e-12 < prev:
             raise ValueError(f"sparsity decreased in layer {row['layer']}")
@@ -476,22 +484,13 @@ def cmd_report(config: dict) -> int:
     return 0
 
 
-COMMANDS = {
-    "train": cmd_train,
-    "sparsify": cmd_sparsify,
-    "quantize": cmd_quantize,
-    "pack": cmd_pack,
-    "unpack": cmd_unpack,
-    "eval": cmd_eval,
-    "report": cmd_report,
-}
+COMMANDS = {"train": cmd_train, "sparsify": cmd_sparsify, "quantize": cmd_quantize,
+            "pack": cmd_pack, "unpack": cmd_unpack, "eval": cmd_eval, "report": cmd_report}
 
 
 def main(argv: Optional[list[str]] = None) -> int:
     parser = argparse.ArgumentParser(
-        prog="devolve",
-        description="sparsify, quantize and pack small neural networks",
-    )
+        prog="devolve", description="sparsify, quantize and pack small neural networks")
     parser.add_argument("command", choices=sorted(COMMANDS))
     parser.add_argument("--config", required=True, help="JSON run config")
     parser.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
@@ -499,11 +498,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser.add_argument("--workers", type=int, default=None,
                         help="parallel trial evaluation workers")
     args = parser.parse_args(argv)
+    workers = [] if args.workers is None else [f"de.workers={args.workers}"]
     try:
-        config = load_config(args.config)
-        apply_overrides(config, args.set)
-        if args.workers is not None:
-            config.setdefault("de", {})["workers"] = args.workers
+        config = load_config(args.config, args.set + workers)
         return COMMANDS[args.command](config)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)

@@ -122,6 +122,16 @@ class EvolutionConfig:
             raise ValueError(f"retrain_lr must be positive and finite, got {self.retrain_lr}")
         if self.retrain_batch_size < 1:
             raise ValueError("retrain_batch_size must be >= 1")
+        if self.retrain_epochs < 0:
+            raise ValueError(f"retrain_epochs must be >= 0, got {self.retrain_epochs}")
+        if self.workers < 1:
+            raise ValueError(f"workers must be >= 1, got {self.workers}")
+        if self.max_cycles < 1:
+            raise ValueError(f"max_cycles must be >= 1, got {self.max_cycles}")
+        budget = self.divergence_budget
+        if budget is not None and not (math.isfinite(budget) and budget >= 0):
+            raise ValueError(f"divergence_budget must be finite and >= 0 (or None), "
+                             f"got {budget}")
 
     def target_for(self, layer: int) -> float:
         if isinstance(self.target_sparsity, dict):

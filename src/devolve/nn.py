@@ -95,6 +95,11 @@ class Layer:
     def grads(self, ctx, grad_out: np.ndarray):
         raise NotImplementedError
 
+    def apply_owned(self, x: np.ndarray) -> np.ndarray:
+        """`apply`'s output for a caller that keeps no ctx and owns `x`, which
+        the layer may overwrite with the output."""
+        return self.apply(x)[0]
+
     def hyper(self) -> dict:
         return {}
 
@@ -264,6 +269,11 @@ class ReLU(Layer):
         y = np.maximum(x, 0.0)
         y += 0.0  # numpy leaves the sign of max(-0.0, 0.0) open; make it +0.0
         return y, y
+
+    def apply_owned(self, x):
+        np.maximum(x, 0.0, out=x)
+        x += 0.0
+        return x
 
     def grads(self, ctx, grad_out):
         # y > 0 is x > 0 for the finite x the forward admits
@@ -456,8 +466,13 @@ class Network:
         return Network(layers, self.input_shape)
 
 
-def _forward_with_ctx(net: Network, inputs: np.ndarray):
-    x = np.asarray(inputs, dtype=np.float64)
+def _forward_with_ctx(net: Network, inputs: np.ndarray, keep: bool = True):
+    """(outputs, one ctx per layer). With keep=False no ctx is kept, and a
+    layer may overwrite its input unless that shares memory with `inputs`, so
+    a ReLU after a conv holds one batch-sized array, not two. Two at once grew
+    the heap past glibc's trim threshold on every trial of a conv layer, and
+    each trial faulted about 3 MiB back in."""
+    first = x = np.asarray(inputs, dtype=np.float64)
     if x.shape[1:] != net.input_shape:
         raise ShapeError(
             f"batch shape {x.shape[1:]} does not match network input "
@@ -466,18 +481,23 @@ def _forward_with_ctx(net: Network, inputs: np.ndarray):
     ctxs = []
     for i, layer in enumerate(net.layers):
         try:
-            x, ctx = layer.apply(x)
+            if keep:
+                x, ctx = layer.apply(x)
+                ctxs.append(ctx)
+            elif np.may_share_memory(x, first):
+                x = layer.apply(x)[0]
+            else:
+                x = layer.apply_owned(x)
         except ShapeError as e:
             raise ShapeError(f"layer {i} ({layer.kind}): {e}") from None
         if not np.isfinite(x).all():
             raise FloatingPointError(f"non-finite values produced by layer {i} ({layer.kind})")
-        ctxs.append(ctx)
     return x, ctxs
 
 
 def forward(net: Network, inputs: np.ndarray) -> np.ndarray:
-    """Run the network on a stack of inputs."""
-    return _forward_with_ctx(net, inputs)[0]
+    """Run the network on a stack of inputs; `inputs` is never modified."""
+    return _forward_with_ctx(net, inputs, keep=False)[0]
 
 
 def value_and_grads(net: Network, inputs: np.ndarray, loss):

@@ -1,9 +1,10 @@
-"""Shared builders for tests: reference densities, a small trained teacher and
-one-layer nets for the layer-flat parameter layout."""
+"""Shared test helpers: reference densities, a small trained teacher,
+one-layer nets for the layer-flat parameter layout, and a walk over the
+command line's config table."""
 
 import numpy as np
 
-from devolve import datasets, nn
+from devolve import cli, datasets, nn
 from devolve.quantize import Density
 
 BLOBS_ARCH = {"input_shape": [784], "layers": [
@@ -72,3 +73,18 @@ def layout_positions(layer):
     """Flat indices at both ends of the kernel and of the bias, and one inside."""
     k = layer.param_tensors()[0].size
     return [0, 5, k - 1, k, k + 3]
+
+
+def config_keys(table=cli._SCHEMA, prefix=""):
+    """(dotted path, Key) for every entry of the config table, depth first.
+    A plain section comes as a Key with default {}, the items of a list as
+    `<path>[]` and the entries of a per-layer section as `<path>.<layer>`."""
+    for name, key in table.items():
+        key = key if isinstance(key, cli.Key) else cli.Key(key, {})
+        path = prefix + name
+        yield path, key
+        for kind in key.kind if isinstance(key.kind, tuple) else (key.kind,):
+            if isinstance(kind, dict):
+                yield from config_keys(kind, path + ".")
+            elif isinstance(kind, list):
+                yield from config_keys({"[]": kind[0]}, path)

@@ -1,11 +1,15 @@
+import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from devolve import datasets, evolution, nn, quantize, sparsity
+from devolve import cli, datasets, evolution, nn, quantize, sparsity
 from devolve.cli import (ConfigError, _evolution_config, apply_overrides, load_config,
                          main, validate_config)
+
+from helpers import config_keys
 
 
 def pipeline_config(tmp_path, **extra):
@@ -93,6 +97,82 @@ class TestValidation:
     def test_override_rejects_unknown(self):
         with pytest.raises(ConfigError):
             apply_overrides({"master_seed": 1}, ["de.bogus=1"])
+
+    def test_defaults_are_filled_in(self):
+        cfg = validate_config({"master_seed": 4, "quantization": {
+            "scheme": "optimal_density", "per_layer": {"2": {"bits": 3}}}})
+        assert cfg["train"] == {"epochs": None, "lr": 0.1, "batch_size": 64}
+        assert cfg["model"]["init_seed"] == 4 and cfg["quantization"]["seed"] == 4
+        assert cfg["quantization"]["per_layer"] == {
+            2: {"scheme": "optimal_density", "bits": 3, "rounding": "nearest"}}
+        assert cfg["data"] == {"synthetic": None, "idx": None, "probe": None}
+        assert evolution.EvolutionConfig(**cfg["de"]) == \
+            evolution.EvolutionConfig(master_seed=4)
+
+    def test_table_follows_the_library_dataclasses(self):
+        for section, cls in ((cli._SCHEMA["de"], evolution.EvolutionConfig),
+                             (cli._SCHEMA["divergence"]["heads"].kind[0].kind,
+                              evolution.Head)):
+            fields = {f.name: f.default for f in dataclasses.fields(cls)}
+            assert {name: key.default for name, key in section.items()} == {
+                **fields, **({"master_seed": cli.Same("master_seed")}
+                             if cls is evolution.EvolutionConfig else {})}
+
+    @pytest.mark.parametrize("section,key,value", [
+        ("train", "lr", True), ("train", "batch_size", False),
+        ("de", "step_fraction", True), ("de", "target_sparsity", {"0": True}),
+        ("de", "divergence_budget", False), ("quantization", "bits", True)])
+    def test_bool_is_not_a_number(self, section, key, value):
+        with pytest.raises(ConfigError, match=f"{section}.{key}"):
+            validate_config({"master_seed": 1, section: {key: value}})
+
+    def test_probe_section_needs_a_size(self):
+        with pytest.raises(ConfigError, match="data.probe.size"):
+            validate_config({"master_seed": 1, "data": {"probe": {}}})
+
+    def test_validated_once_after_every_override(self, tmp_path, monkeypatch):
+        path, _ = pipeline_config(tmp_path)
+        seen = []
+        real = cli.validate_config
+
+        def counted(config):
+            seen.append(json.loads(json.dumps(config)))
+            return real(config)
+        monkeypatch.setattr(cli, "validate_config", counted)
+        monkeypatch.setattr(cli, "cmd_train", lambda config: 0)
+        assert main(["train", "--config", str(path), "--set", "de.workers=3",
+                     "--workers", "2"]) == 0
+        assert len(seen) == 1 and seen[0]["de"]["workers"] == 2
+
+
+def readme_table_rows():
+    """README's config table as rendered from the config table."""
+    rows = ["| key | type | default | range |", "| --- | --- | --- | --- |"]
+    for path, key in config_keys():
+        if isinstance(key.kind, dict):
+            continue
+        kinds = key.kind if isinstance(key.kind, tuple) else (key.kind,)
+        names = "/".join(cli._TYPE_NAMES[cli._json_type(k)] for k in kinds)
+        if path.endswith(("]", ">")):
+            default = ""
+        elif key.default is cli.REQUIRED:
+            default = "required"
+        elif key.default is None:
+            default = "unset"
+        elif isinstance(key.default, cli.Same):
+            default = f"same as `{key.default}`"
+        else:
+            default = f"`{json.dumps(key.default)}`"
+        checked = key.range_text() if key.choices or key.low is not None else ""
+        rows.append(f"| `{path}` | {names} | {default} | {checked} |")
+    return rows
+
+
+def test_readme_lists_the_config_table():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("## Config schema")[1].split("\n## ")[0]
+    assert [line for line in section.splitlines() if line.startswith("| ")] == \
+        readme_table_rows()
 
 
 class TestExitCodes:
@@ -186,6 +266,29 @@ class TestExitCodes:
         assert main(["sparsify", "--config", str(path)]) == 1
         assert match in capsys.readouterr().err
         assert trials == []
+
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_bad_workers_flag_is_validation_error(self, tmp_path, monkeypatch, capsys,
+                                                  workers):
+        path, cfg = pipeline_config(tmp_path)
+        nn.save_network(nn.build_network(cfg["model"]["architecture"], 0),
+                        cfg["model"]["path"])
+        trials = []
+        monkeypatch.setattr(evolution, "evaluate_trials", lambda *a: trials.append(a))
+        assert main(["sparsify", "--config", str(path), "--workers", workers]) == 1
+        assert "workers must be >= 1" in capsys.readouterr().err
+        assert trials == [] and not (tmp_path / "history.csv").exists()
+
+    def test_train_without_epochs_fails_before_training(self, tmp_path, monkeypatch,
+                                                         capsys):
+        path, cfg = pipeline_config(tmp_path)
+        del cfg["train"]
+        path.write_text(json.dumps(cfg))
+        steps = []
+        monkeypatch.setattr(nn, "sgd_step", lambda *a: steps.append(a))
+        assert main(["train", "--config", str(path)]) == 1
+        assert "config requires train.epochs" in capsys.readouterr().err
+        assert steps == [] and not (tmp_path / "teacher.devn").exists()
 
     def test_blown_up_train_writes_no_model(self, tmp_path, capsys):
         path, _ = pipeline_config(tmp_path)

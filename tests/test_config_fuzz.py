@@ -8,6 +8,8 @@ or 1, never 2 (a runtime error). A command that exits 1 must do so before any
 `nn.sgd_step`, any `evolution.evaluate_trials` and any change to an output
 file.
 
+The range cases come from the config table: for each range it holds, one
+value just inside (the run must complete) and one just outside (exit 1).
 Fields that name files are left out: a missing input file is a runtime error
 by design (`test_cli.py::TestExitCodes::test_missing_model_file_is_runtime_error`).
 So are learning rates large enough to overflow training
@@ -15,11 +17,14 @@ So are learning rates large enough to overflow training
 
 import copy
 import json
+import math
 
 import numpy as np
 import pytest
 
 from devolve import cli, evolution, nn
+
+from helpers import config_keys
 
 N_SAMPLES = 60
 BASE = {
@@ -88,6 +93,25 @@ BOUNDARY = [
      "model.architecture"),
     ("model.architecture", {"input_shape": [4], "layers": [{"kind": "gelu"}]},
      "model.architecture"),
+    # a bool is not a number
+    ("train.lr", True, "train.lr must be number"),
+    ("de.step_fraction", True, "de.step_fraction must be number"),
+    ("data.synthetic.separation", False, "data.synthetic.separation must be number"),
+    ("de.target_sparsity", {"0": True}, "de.target_sparsity.0 must be number"),
+    # out of range
+    ("train.epochs", -3, "train.epochs"),
+    ("train", {"lr": 0.3}, "config requires train.epochs"),
+    ("de.workers", 0, "workers must be >= 1"),
+    ("de.workers", -2, "workers must be >= 1"),
+    ("de.max_cycles", 0, "max_cycles must be >= 1"),
+    ("de.max_cycles", -1, "max_cycles must be >= 1"),
+    ("de.max_cycles", 1, None),
+    ("de.retrain_epochs", -5, "retrain_epochs must be >= 0"),
+    ("de.divergence_budget", float("nan"), "divergence_budget"),
+    ("de.divergence_budget", -1.0, "divergence_budget"),
+    ("de.divergence_budget", 0.0, None),  # rolls back the first cycle
+    ("data.probe", {}, "config requires data.probe.size"),
+    ("data.probe", {"seed": 4}, "config requires data.probe.size"),
 ]
 # optimal_density's widest tables; each level solve takes seconds
 SLOW_BOUNDARY = [("quantization", {"scheme": "optimal_density", "bits": 10}, None)]
@@ -96,15 +120,36 @@ POOL = [-1, 0, 1, 1.5, float("nan"), "x", True, None, [], [0], {}, {"0": 1}]
 N_SEEDED = 48
 
 
-def schema_fields(schema=cli._SCHEMA, prefix=""):
-    for key, sub in schema.items():
-        field = prefix + key
-        if field.startswith(FILE_FIELDS):
-            continue
-        if isinstance(sub, dict):
-            yield from schema_fields(sub, field + ".")
-        else:
+def schema_fields():
+    """Every field but sections and the items of lists and per-layer
+    objects."""
+    for field, key in config_keys():
+        section = isinstance(key.kind, dict) and cli.LAYER not in key.kind
+        if not (section or field.startswith(FILE_FIELDS) or "<" in field or "[" in field):
             yield field
+
+
+def range_cases():
+    """(field, value, expected) just inside and just outside each range in the
+    config table, leaving out the cases BOUNDARY has."""
+    cases = []
+    for field, key in config_keys():
+        if "<" in field or "[" in field or field.startswith(FILE_FIELDS):
+            continue
+        if key.choices:
+            cases += [(field, choice, None) for choice in key.choices]
+            cases.append((field, "x", field))
+        elif key.low is not None and key.kind is int:
+            inside = key.low + 1 if key.strict else key.low
+            cases += [(field, inside, None), (field, inside - 1, field)]
+        elif key.low is not None:
+            low = float(key.low)
+            inside = math.nextafter(low, math.inf) if key.strict else low
+            outside = low if key.strict else math.nextafter(low, -math.inf)
+            cases += [(field, inside, None), (field, outside, field),
+                      (field, math.inf, field)]
+    written = {(field, repr(value)) for field, value, _ in BOUNDARY}
+    return [case for case in cases if (case[0], repr(case[1])) not in written]
 
 
 def seeded_cases(seed=0):
@@ -170,7 +215,8 @@ def params(cases, marks=()):
 
 
 @pytest.mark.parametrize("field,value,expected",
-                         params(BOUNDARY) + params(SLOW_BOUNDARY, pytest.mark.slow))
+                         params(BOUNDARY) + params(range_cases())
+                         + params(SLOW_BOUNDARY, pytest.mark.slow))
 def test_boundary_values(tmp_path, work, capsys, field, value, expected):
     codes, err = run_pipeline(tmp_path, field, value, work, capsys)
     if expected is None:

@@ -555,6 +555,17 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="retrain_batch_size"):
             EvolutionConfig(retrain_batch_size=0)
 
+    @pytest.mark.parametrize("field,value", [
+        ("workers", 0), ("workers", -2), ("max_cycles", 0), ("max_cycles", -1),
+        ("retrain_epochs", -5), ("divergence_budget", math.nan),
+        ("divergence_budget", math.inf), ("divergence_budget", -1.0)])
+    def test_bad_run_limits(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            EvolutionConfig(**{field: value})
+
+    def test_run_limits_at_their_bounds(self):
+        EvolutionConfig(workers=1, max_cycles=1, retrain_epochs=0, divergence_budget=0.0)
+
     def test_per_layer_targets(self):
         cfg = EvolutionConfig(target_sparsity={0: 0.5, 2: 0.9})
         assert cfg.target_for(0) == 0.5

@@ -117,6 +117,21 @@ class TestForward:
         b = nn.forward(net, x)
         assert a.tobytes() == b.tobytes()
 
+    @pytest.mark.parametrize("layers", [
+        [{"kind": "relu"}, {"kind": "flatten"}, {"kind": "relu"}],
+        [{"kind": "flatten"}, {"kind": "relu"}, {"kind": "dense", "units": 3}],
+        [{"kind": "conv2d", "filters": 3, "kernel": 3, "padding": "same"},
+         {"kind": "relu"}, {"kind": "max_pool", "pool": 2}, {"kind": "relu"},
+         {"kind": "flatten"}, {"kind": "dense", "units": 3}, {"kind": "relu"}]])
+    def test_in_place_layers_leave_inputs_and_bits_alone(self, layers):
+        # forward rectifies its own arrays in place, never the caller's
+        net = small_net(seed=2, layers=layers, input_shape=(4, 4, 2))
+        x = np.random.default_rng(5).normal(size=(3, 4, 4, 2))
+        before = x.copy()
+        out = nn.forward(net, x)
+        assert x.tobytes() == before.tobytes()
+        assert out.tobytes() == nn._forward_with_ctx(net, x)[0].tobytes()
+
 
 @given(st.integers(0, 10_000))
 def test_softmax_simplex_property(seed):
