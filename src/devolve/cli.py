@@ -153,8 +153,9 @@ def _resolve(value, key: Key, path: str):
 
 def _resolve_section(section: dict, table: dict, path: str) -> dict:
     if LAYER in table:
-        for name in section:
-            if not str(name).isdigit():
+        for name in map(str, section):
+            # one spelling per index: "00", "０" and "²" also pass isdigit()
+            if not (name.isascii() and name.isdigit() and str(int(name)) == name):
                 raise ConfigError(f"{path[:-1]} key {name!r} must be a layer index")
         return {int(k): _resolve(v, table[LAYER], path + str(k)) for k, v in section.items()}
     for name in section.keys() - table.keys():

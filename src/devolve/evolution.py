@@ -251,7 +251,8 @@ def evaluate_trials(student: Network, mask: SparsityMask,
     front = min((c.layer for c in candidates), default=0)
     acts = nn.forward(Network(masked.layers[:front], masked.input_shape), probe.inputs)
     tail = Network(masked.layers[front:], acts.shape[1:])
-    tail_cands = [CandidateSet(c.layer - front, c.indices) for c in candidates]
+    tail_cands = ([CandidateSet(c.layer - front, c.indices) for c in candidates]
+                  if front else candidates)
 
     def trial(cand):
         return evaluate_candidate(tail, cand, teacher_outputs, acts, spec)
@@ -316,7 +317,9 @@ def retrain(student: Network, mask: SparsityMask, teacher_outputs: np.ndarray,
                 target = teacher_outputs[lo:hi]
                 _, grads = nn.value_and_grads(
                     net, inputs[lo:hi], lambda out: divergence_grad(out, target, spec))
-                nn.sgd_step(net, [g * k for g, k in zip(grads, keep)], cfg.retrain_lr)
+                for g, k in zip(grads, keep):
+                    g *= k
+                nn.sgd_step(net, grads, cfg.retrain_lr)
             div = divergence(nn.forward(net, inputs), teacher_outputs, spec)
             if not math.isfinite(div):
                 break

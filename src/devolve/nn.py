@@ -63,6 +63,12 @@ class Layer:
     `apply` returns (output, ctx); `grads(ctx, grad_out)` returns
     (grad_input, [grad per parameter tensor]). The ctx is local to the call so
     the same layer object can be evaluated concurrently.
+
+    A layer with parameters also takes `need_input=True`; with False its
+    `grads` skips the input gradient and returns None in its place.
+    `value_and_grads` calls no layer in front of the first parameter layer
+    and asks that layer for no input gradient, so a parameterless layer is
+    only ever asked for one.
     """
 
     kind = "base"
@@ -148,11 +154,11 @@ class Dense(Layer):
     def apply(self, x):
         return x @ self.weights + self.bias, x
 
-    def grads(self, ctx, grad_out):
+    def grads(self, ctx, grad_out, need_input=True):
         x = ctx
         gw = x.T @ grad_out
         gb = grad_out.sum(axis=0)
-        return grad_out @ self.weights.T, [gw, gb]
+        return (grad_out @ self.weights.T if need_input else None), [gw, gb]
 
 
 def _batch_slices(n: int, rows_per_item: int) -> list[tuple[int, int]]:
@@ -238,25 +244,32 @@ class Conv2D(Layer):
         y += self.bias
         return y.reshape(n, oh, ow, cout), (xp, (n, h, w), (oh, ow, ph, pw))
 
-    def grads(self, ctx, grad_out):
+    def grads(self, ctx, grad_out, need_input=True):
+        xp, (n, h, w), (oh, ow, ph, pw) = ctx
+        cout = self.kernel.shape[3]
+        g = grad_out.reshape(-1, cout)
+        gk = np.zeros((self.kernel.size // cout, cout))
+        for lo, hi in _batch_slices(n, oh * ow):
+            gk += self._cols(xp[lo:hi], oh, ow).T @ g[lo * oh * ow:hi * oh * ow]
+        gb = grad_out.sum(axis=(0, 1, 2))
+        gx = self._input_grad(g, ctx) if need_input else None
+        return gx, [gk.reshape(self.kernel.shape), gb]
+
+    def _input_grad(self, g, ctx):
+        """The gradient of the unpadded input: each output pixel's patch
+        gradient (g @ kernel^T) scattered back over its kh*kw taps."""
         xp, (n, h, w), (oh, ow, ph, pw) = ctx
         kh, kw, cin, cout = self.kernel.shape
         s = self.stride
         k = self.kernel.reshape(-1, cout)
-        g = grad_out.reshape(-1, cout)
-        gk = np.zeros_like(k)
         gxp = np.zeros_like(xp)
         for lo, hi in _batch_slices(n, oh * ow):
-            gs = g[lo * oh * ow:hi * oh * ow]
-            gk += self._cols(xp[lo:hi], oh, ow).T @ gs
-            gcols = (gs @ k.T).reshape(hi - lo, oh, ow, kh, kw, cin)
+            gcols = (g[lo * oh * ow:hi * oh * ow] @ k.T).reshape(hi - lo, oh, ow, kh, kw, cin)
             for i in range(kh):
                 for j in range(kw):
                     gxp[lo:hi, i:i + s * (oh - 1) + 1:s, j:j + s * (ow - 1) + 1:s, :] += (
                         gcols[:, :, :, i, j, :])
-        gb = grad_out.sum(axis=(0, 1, 2))
-        gx = gxp[:, ph // 2:ph // 2 + h, pw // 2:pw // 2 + w, :]
-        return gx, [gk.reshape(self.kernel.shape), gb]
+        return gxp[:, ph // 2:ph // 2 + h, pw // 2:pw // 2 + w, :]
 
 
 class ReLU(Layer):
@@ -276,8 +289,14 @@ class ReLU(Layer):
         return x
 
     def grads(self, ctx, grad_out):
+        """grad_out where the output is positive, +0.0 elsewhere. This is
+        np.where(ctx > 0, grad_out, 0.0) at a third of its cost, apart from
+        two cases: a grad_out of exactly -0.0 at a positive output comes back
+        as +0.0, and a non-finite grad_out at a zero output as NaN."""
         # y > 0 is x > 0 for the finite x the forward admits
-        return np.where(ctx > 0, grad_out, 0.0), []
+        g = grad_out * (ctx > 0)
+        g += 0.0  # -0.0 from a negative gradient times False becomes +0.0
+        return g, []
 
 
 class LeakyReLU(Layer):
@@ -502,12 +521,17 @@ def forward(net: Network, inputs: np.ndarray) -> np.ndarray:
 
 def value_and_grads(net: Network, inputs: np.ndarray, loss):
     """(value, one gradient per parameter tensor) of `loss(outputs)`, which
-    returns (value, d value / d outputs)."""
+    returns (value, d value / d outputs). The backward pass stops at the
+    first parameter layer, which computes no input gradient: no caller reads
+    the gradient of the inputs."""
     out, ctxs = _forward_with_ctx(net, inputs)
     value, g = loss(out)
     grads: list[list[np.ndarray]] = [[] for _ in net.layers]
-    for i in range(len(net.layers) - 1, -1, -1):
+    first = min(net.param_layer_indices(), default=len(net.layers))
+    for i in range(len(net.layers) - 1, first, -1):
         g, grads[i] = net.layers[i].grads(ctxs[i], g)
+    if first < len(net.layers):
+        _, grads[first] = net.layers[first].grads(ctxs[first], g, need_input=False)
     return value, [t for pg in grads for t in pg]
 
 

@@ -233,15 +233,18 @@ def _dp_seed(density: Density, n_levels: int) -> np.ndarray:
     cum_m = np.concatenate(([0.0], np.cumsum(mass)))
     cum_mc = np.concatenate(([0.0], np.cumsum(mass * centres)))
     # cost[j, i]: cells i..s-1 round down to grid[i], cells s..j-1 up to
-    # grid[j]; row j holds every predecessor i of grid point j. Built in
-    # blocks of `step` rows to keep the temporaries small.
+    # grid[j]; row j holds every predecessor i of grid point j, and i >= j
+    # costs inf. Built in blocks of `step` rows to keep the temporaries small;
+    # a block's rows end before `end`, so only its columns i < end-1 can be
+    # finite.
     step = math.isqrt(cells)
-    i = np.arange(cells + 1)
-    cost = np.empty((cells + 1, cells + 1))
+    cost = np.full((cells + 1, cells + 1), np.inf)
     for top in range(0, cells + 1, step):
-        j = i[top:top + step, None]
+        end = min(top + step, cells + 1)
+        j = np.arange(top, end)[:, None]
+        i = np.arange(end - 1)
         s = np.searchsorted(centres, (grid[i] + grid[j]) / 2.0, side="right")
-        cost[top:top + step] = np.where(
+        cost[top:end, :end - 1] = np.where(
             j > i, (cum_mc[s] - cum_mc[i]) - grid[i] * (cum_m[s] - cum_m[i])
             + grid[j] * (cum_m[j] - cum_m[s]) - (cum_mc[j] - cum_mc[s]), np.inf)
     reach = cost[:, 0].copy()  # least error reaching each grid point with one gap

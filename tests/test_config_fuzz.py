@@ -81,6 +81,11 @@ BOUNDARY = [
     ("quantization.per_layer", {"9": {"bits": 2}}, "quantization.per_layer key '9'"),
     ("quantization.per_layer", {"1": {"bits": 2}}, "quantization.per_layer key '1'"),
     ("quantization.per_layer", {"2": {"bits": 2}}, None),
+    # one spelling per layer index: these would silently replace layer "0"
+    ("de.target_sparsity", {"0": 0.5, "00": 0.9}, "de.target_sparsity key '00'"),
+    ("quantization.per_layer", {"0": {"bits": 2}, "\uff10": {"bits": 3}},
+     "quantization.per_layer key '\uff10'"),
+    ("de.target_sparsity", {"\u00b2": 0.5}, "de.target_sparsity key '\u00b2'"),
     ("quantization", {"scheme": "optimal_density", "bits": 8}, None),
     ("master_seed", -1, "master_seed"),
     ("quantization.seed", -1, "quantization.seed"),

@@ -216,6 +216,50 @@ class TestBackward:
             for g, r in zip(grads, ref_grads):
                 assert g.tobytes() == r.tobytes()
 
+    # dense first, conv first, and a parameterless layer in front of the first
+    # parameter layer
+    FIRST_LAYER_NETS = [
+        (None, (6,)),
+        (CONV_ARCH["layers"], (6, 6, 1)),
+        ([{"kind": "flatten"}, {"kind": "dense", "units": 4}, {"kind": "relu"},
+          {"kind": "dense", "units": 3}], (3, 2)),
+    ]
+
+    @pytest.mark.parametrize("layers,input_shape", FIRST_LAYER_NETS)
+    def test_parameter_grads_match_full_chain(self, layers, input_shape, rng):
+        net = small_net(2, layers, input_shape)
+        x = rng.normal(size=(5,) + input_shape)
+        targets = rng.normal(size=(5,) + net.output_shape)
+        value, grads = nn.value_and_grads(net, x, lambda out: nn.mse_loss(out, targets))
+        y, ctxs = x, []
+        for layer in net.layers:
+            y, ctx = layer.apply(y)
+            ctxs.append(ctx)
+        ref_value, g = nn.mse_loss(y, targets)
+        ref_grads = []
+        for layer, ctx in zip(net.layers[::-1], ctxs[::-1]):
+            g, layer_grads = layer.grads(ctx, g)  # every input gradient taken
+            ref_grads = layer_grads + ref_grads
+        assert value == ref_value
+        assert [g.shape for g in grads] == [r.shape for r in ref_grads]
+        assert all(bits_equal(g, r) for g, r in zip(grads, ref_grads))
+
+    @pytest.mark.parametrize("layers,input_shape", FIRST_LAYER_NETS)
+    def test_no_input_gradient_up_to_first_parameter_layer(self, layers, input_shape,
+                                                           monkeypatch, rng):
+        net = small_net(2, layers, input_shape)
+        produced = {}
+        for i, layer in enumerate(net.layers):
+            def recording(ctx, g, *args, i=i, grads=layer.grads, **kwargs):
+                gx, layer_grads = grads(ctx, g, *args, **kwargs)
+                produced[i] = gx is not None
+                return gx, layer_grads
+            monkeypatch.setattr(layer, "grads", recording)
+        x = rng.normal(size=(5,) + input_shape)
+        nn.value_and_grads(net, x, lambda out: (0.0, np.ones_like(out)))
+        first = net.param_layer_indices()[0]
+        assert produced == {i: i > first for i in range(first, len(net.layers))}
+
     def test_conv_stride_two_gradcheck(self, rng):
         arch = {"input_shape": [5, 5, 2], "layers": [
             {"kind": "conv2d", "filters": 2, "kernel": 3, "stride": 2,
