@@ -190,8 +190,10 @@ def _check_bits(q: dict, path: str):
 
 
 def validate_config(config: dict) -> dict:
-    """The config checked against `_SCHEMA`, with every default filled in and
-    per-layer maps keyed by int."""
+    """The config checked against `_SCHEMA` and against the checks of
+    `EvolutionConfig` and `DivergenceSpec`, with every default filled in and
+    per-layer maps keyed by int. The de scope and the head columns are checked
+    later, against the network."""
     if not isinstance(config, dict):
         raise ConfigError("config must be a JSON object")
     resolved = _resolve_section(config, _SCHEMA, "")
@@ -200,6 +202,9 @@ def validate_config(config: dict) -> dict:
     _check_bits(quant, "quantization.")
     for layer, q in quant["per_layer"].items():
         _check_bits(q, f"quantization.per_layer.{layer}.")
+    _evolution_config(resolved)
+    if resolved["divergence"]["heads"]:
+        _divergence_spec(resolved, math.inf)
     return resolved
 
 

@@ -425,9 +425,10 @@ def weight_histogram(net: Network, bins: int, mask: Optional[SparsityMask] = Non
     return np.histogram(values, bins=bins, range=(lo, hi))
 
 
-HISTORY_COLUMNS = ["cycle", "layer", "sparsity_before", "sparsity_after",
-                   "trials", "mean", "std", "best", "committed_size",
-                   "retrain_divergence"]
+# The history CSV's columns in order, each with the type it parses to.
+HISTORY_COLUMNS = {"cycle": int, "layer": int, "sparsity_before": float,
+                   "sparsity_after": float, "trials": int, "mean": float, "std": float,
+                   "best": float, "committed_size": int, "retrain_divergence": float}
 
 
 def write_history(history: Sequence[CycleRecord], path: str):
@@ -437,12 +438,10 @@ def write_history(history: Sequence[CycleRecord], path: str):
         writer = csv.writer(f)
         writer.writerow(HISTORY_COLUMNS)
         for r in history:
-            writer.writerow([
-                r.cycle, r.layer, repr(r.sparsity_before), repr(r.sparsity_after),
-                r.trial_divergences.size, repr(r.mean), repr(r.std),
-                repr(r.best_divergence), r.committed.size,
-                repr(r.retrain_divergence),
-            ])
+            row = (r.cycle, r.layer, r.sparsity_before, r.sparsity_after,
+                   r.trial_divergences.size, r.mean, r.std, r.best_divergence,
+                   r.committed.size, r.retrain_divergence)
+            writer.writerow(repr(kind(v)) for kind, v in zip(HISTORY_COLUMNS.values(), row))
 
 
 def read_history(path: str) -> list[dict]:
@@ -450,18 +449,5 @@ def read_history(path: str) -> list[dict]:
         rows = list(csv.DictReader(f))
     if not rows:
         raise ValueError(f"history file {path} has no rows")
-    out = []
-    for row in rows:
-        out.append({
-            "cycle": int(row["cycle"]),
-            "layer": int(row["layer"]),
-            "sparsity_before": float(row["sparsity_before"]),
-            "sparsity_after": float(row["sparsity_after"]),
-            "trials": int(row["trials"]),
-            "mean": float(row["mean"]),
-            "std": float(row["std"]),
-            "best": float(row["best"]),
-            "committed_size": int(row["committed_size"]),
-            "retrain_divergence": float(row["retrain_divergence"]),
-        })
-    return out
+    return [{name: kind(row[name]) for name, kind in HISTORY_COLUMNS.items()}
+            for row in rows]

@@ -53,9 +53,12 @@ class LevelSolverError(RuntimeError):
 
 @dataclass
 class Density:
-    """Histogram-backed weight density: linear interpolation of bin heights,
-    floored at a small fraction of the peak so spacing stays finite across
-    empty regions. Bin masses are normalized to total 1."""
+    """Histogram-backed weight density: linear interpolation of bin heights
+    between bin centres (flat out to the support's ends), floored at a small
+    fraction of the peak so spacing stays finite across empty regions. Where
+    a segment crosses the floor strictly inside it, a node is inserted at the
+    crossing, so p is exactly linear between nodes (the solver and the
+    integrator rely on this). Bin masses are normalized to total 1."""
 
     edges: np.ndarray
     masses: np.ndarray
@@ -81,26 +84,16 @@ class Density:
         self._flatten()
 
     def _flatten(self):
-        """Resolve the floor clamp into explicit nodes so p is exactly linear
-        between consecutive nodes (the solver and the integrator both rely on
-        this)."""
-        lo, hi = float(self.edges[0]), float(self.edges[-1])
-        xs = np.concatenate(([lo], self._centers, [hi]))
-        hs = np.concatenate(([self._heights[0]], self._heights,
-                             [self._heights[-1]]))
-        nodes = [xs[0]]
-        vals = [max(hs[0], self.floor)]
+        """The nodes, with the floor crossings inserted, and their heights."""
         f = self.floor
-        for a, b, ha, hb in zip(xs[:-1], xs[1:], hs[:-1], hs[1:]):
-            if (ha - f) * (hb - f) < 0:  # segment crosses the floor
-                cross = a + (f - ha) * (b - a) / (hb - ha)
-                if a < cross < b:
-                    nodes.append(cross)
-                    vals.append(f)
-            nodes.append(b)
-            vals.append(max(hb, f))
-        self._nodes = np.asarray(nodes)
-        self._node_heights = np.asarray(vals)
+        xs = np.concatenate(([self.edges[0]], self._centers, [self.edges[-1]]))
+        hs = np.concatenate(([self._heights[0]], self._heights, [self._heights[-1]]))
+        a, b, ha, hb = xs[:-1], xs[1:], hs[:-1], hs[1:]
+        j = np.flatnonzero((ha - f) * (hb - f) < 0)  # segments crossing the floor
+        cross = a[j] + (f - ha[j]) * (b[j] - a[j]) / (hb[j] - ha[j])
+        inside = (a[j] < cross) & (cross < b[j])
+        self._nodes = np.insert(xs, j[inside] + 1, cross[inside])
+        self._node_heights = np.insert(np.maximum(hs, f), j[inside] + 1, f)
         seg = np.diff(self._nodes) * (self._node_heights[:-1] + self._node_heights[1:]) / 2.0
         self._cum = np.concatenate(([0.0], np.cumsum(seg)))
 

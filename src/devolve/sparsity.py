@@ -141,33 +141,29 @@ def random_mask(net: Network, fraction: float, seed: int,
     """Single-shot random mask zeroing round(fraction * n) positions per layer."""
     if not 0.0 <= fraction <= 1.0:
         raise ValueError(f"fraction must be in [0,1], got {fraction}")
-    mask = SparsityMask.empty(net)
+    counts = {i: round(fraction * net.layer_param_count(i)) for i in net.param_layer_indices()}
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x5EED]))
-    for i in net.param_layer_indices():
-        pool = prunable_indices(net, i, include_biases)
-        k = round(fraction * mask.total(i))
-        if k > pool.size:
-            raise ValueError(
-                f"layer {i}: cannot zero {k} of {pool.size} prunable positions"
-            )
-        chosen = rng.choice(pool, size=k, replace=False)
-        mask.bits[i][chosen] = True
-    return mask
+    return _draw_mask(net, counts, rng, include_biases)
 
 
 def mask_with_counts(net: Network, counts: dict[int, int], seed: int,
                      include_biases: bool = True) -> SparsityMask:
-    """Random mask with an exact zero count per layer (baseline comparisons)."""
-    mask = SparsityMask.empty(net)
+    """Random mask with an exact zero count per layer (baseline comparisons),
+    drawn layer by layer in the order of `counts`."""
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0xC0DE]))
+    return _draw_mask(net, counts, rng, include_biases)
+
+
+def _draw_mask(net: Network, counts: dict[int, int], rng: np.random.Generator,
+               include_biases: bool) -> SparsityMask:
+    mask = SparsityMask.empty(net)
     for i, k in counts.items():
         pool = prunable_indices(net, i, include_biases)
         if k > pool.size:
             raise ValueError(
                 f"layer {i}: cannot zero {k} of {pool.size} prunable positions"
             )
-        chosen = rng.choice(pool, size=int(k), replace=False)
-        mask.bits[i][chosen] = True
+        mask.bits[i][rng.choice(pool, size=int(k), replace=False)] = True
     return mask
 
 

@@ -2,9 +2,10 @@
 
 Nothing here may call the code path it validates: gradients come from central
 finite differences, convolution and pooling from direct loops over output
-pixels, quantizer optima come from exhaustive grid search or a grid
-dynamic program with closed-form integrals over the piecewise-linear density,
-and canonical Huffman payloads are walked one bit at a time.
+pixels, a density's floor-crossing nodes from a loop over its segments,
+quantizer optima come from exhaustive grid search or a grid dynamic program
+with closed-form integrals over the piecewise-linear density, and canonical
+Huffman payloads are walked one bit at a time.
 """
 
 import numpy as np
@@ -101,8 +102,30 @@ def max_pool_direct(x, pool, stride, grad_out):
 
 
 # ---------------------------------------------------------------------------
-# Exact integrals over a piecewise-linear density
+# Piecewise-linear density: nodes and exact integrals
 # ---------------------------------------------------------------------------
+
+def density_nodes_loop(density):
+    """(nodes, heights) of a Density's piecewise-linear form, built one
+    segment at a time: bin centres plus the support's ends, with a node
+    inserted wherever a segment crosses the floor strictly inside it."""
+    edges, f = density.edges, density.floor
+    heights = density.masses / np.diff(edges)
+    xs = np.concatenate(([float(edges[0])], (edges[:-1] + edges[1:]) / 2.0,
+                         [float(edges[-1])]))
+    hs = np.concatenate(([heights[0]], heights, [heights[-1]]))
+    nodes = [xs[0]]
+    vals = [max(hs[0], f)]
+    for a, b, ha, hb in zip(xs[:-1], xs[1:], hs[:-1], hs[1:]):
+        if (ha - f) * (hb - f) < 0:
+            cross = a + (f - ha) * (b - a) / (hb - ha)
+            if a < cross < b:
+                nodes.append(cross)
+                vals.append(f)
+        nodes.append(b)
+        vals.append(max(hb, f))
+    return np.asarray(nodes), np.asarray(vals)
+
 
 class ExactDensityIntegrals:
     """Closed-form cumulative integrals of p and w*p for a Density, exact per

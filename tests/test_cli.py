@@ -290,6 +290,25 @@ class TestExitCodes:
         assert "config requires train.epochs" in capsys.readouterr().err
         assert steps == [] and not (tmp_path / "teacher.devn").exists()
 
+    @pytest.mark.parametrize("command,setting,match", [
+        ("train", "de.workers=0", "invalid de section"),
+        ("train", "de.step_fraction=7.0", "invalid de section"),
+        ("train", 'divergence.heads=[{"start": 0, "stop": 3, "divisor": -1}]',
+         "invalid divergence heads"),
+        ("pack", "de.trials_per_cycle=0", "invalid de section"),
+        ("pack", 'divergence.heads=[{"start": 0, "stop": 2, "weight": -1}]',
+         "invalid divergence heads")])
+    def test_library_ranges_are_checked_at_load_in_every_command(
+            self, tmp_path, capsys, command, setting, match):
+        path, _ = pipeline_config(tmp_path)
+        if command == "pack":  # with its inputs in place, only the config can stop it
+            for stage in ("train", "sparsify", "quantize"):
+                assert main([stage, "--config", str(path)]) == 0
+        files = sorted(tmp_path.iterdir())
+        assert main([command, "--config", str(path), "--set", setting]) == 1
+        assert match in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == files
+
     def test_blown_up_train_writes_no_model(self, tmp_path, capsys):
         path, _ = pipeline_config(tmp_path)
         # one step over all 256 samples at lr=1e200 overflows the next forward
@@ -346,6 +365,17 @@ class TestPipeline:
         net = nn.load_network(cfg["output"]["model"])
         fresh = nn.build_network(cfg["model"]["architecture"], 77)
         assert nn.serialize_network(net) == nn.serialize_network(fresh)
+
+    def test_architecture_path_trains_the_inline_model(self, tmp_path, capsys):
+        path, cfg = pipeline_config(tmp_path)
+        assert main(["train", "--config", str(path)]) == 0
+        inline = (tmp_path / "teacher.devn").read_bytes()
+        arch_path = tmp_path / "arch.json"
+        arch_path.write_text(json.dumps(cfg["model"].pop("architecture")))
+        cfg["model"]["architecture_path"] = str(arch_path)
+        cfg["output"]["model"] = str(tmp_path / "from_path.devn")
+        assert main(["train", "--config", str(write_config(tmp_path, cfg))]) == 0
+        assert (tmp_path / "from_path.devn").read_bytes() == inline
 
     def test_train_determinism(self, tmp_path, capsys):
         path, cfg = pipeline_config(tmp_path)

@@ -12,7 +12,7 @@ from devolve.quantize import (Density, QuantizationSpec, build_spec,
 
 from helpers import bimodal_density, sampled_density, tent_density
 from oracles import (ExactDensityIntegrals, brute_force_three_levels,
-                     brute_force_two_bit, grid_dp_error)
+                     brute_force_two_bit, density_nodes_loop, grid_dp_error)
 
 
 class TestUniformLevels:
@@ -61,6 +61,33 @@ class TestDensity:
     def test_from_samples_degenerate(self):
         with pytest.raises(ValueError, match="degenerate"):
             Density.from_samples(np.full(10, 3.3))
+
+    def test_nodes_match_segment_loop_bitwise(self):
+        # non-uniform bins, empty bins, runs of adjacent empty bins, and bins
+        # within a few ulps of the floor on either side of it
+        crossings = 0
+        for seed in range(400):
+            rng = np.random.default_rng(seed)
+            bins = int(rng.integers(2, 90))
+            widths = rng.uniform(0.01, 1.0, bins)
+            edges = rng.normal() + np.concatenate(([0.0], np.cumsum(widths)))
+            heights = rng.exponential(size=bins)
+            heights[rng.random(bins) < 0.3] = 0.0
+            start = int(rng.integers(bins))
+            heights[start:start + int(rng.integers(1, 8))] = 0.0
+            heights[int(rng.integers(bins))] = 1.0 + rng.exponential()
+            near = rng.random(bins) < 0.25
+            floor = q.DENSITY_FLOOR_RATIO * heights.max()
+            heights[near] = floor * (1.0 + rng.integers(-4, 5, near.sum()) * 2.0 ** -52)
+            masses = heights * np.diff(edges)
+            samples = rng.normal(size=int(rng.integers(2, 400))) ** 3
+            for d in (Density(edges, masses / masses.sum()),
+                      Density.from_samples(samples, bins=bins)):
+                nodes, vals = density_nodes_loop(d)
+                assert d.breakpoints().tobytes() == nodes.tobytes()
+                assert d._node_heights.tobytes() == vals.tobytes()
+                crossings += nodes.size - bins - 2
+        assert crossings > 1000
 
     def test_mass_functions_consistent(self):
         d = tent_density()

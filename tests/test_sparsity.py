@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -196,3 +198,31 @@ class TestMaskFiles:
         net = two_layer_net()
         mask = sparsity.mask_with_counts(net, {0: 7, 2: 3}, seed=2)
         assert mask.zeroed(0) == 7 and mask.zeroed(2) == 3
+
+
+class TestRandomMaskPins:
+    """sha256 of the layer-ordered mask bits at fixed seeds: the draws feed
+    the random baselines, so their bits must not move."""
+
+    NET = {"input_shape": [6, 6, 2], "layers": [
+        {"kind": "conv2d", "filters": 3, "kernel": 3, "stride": 1, "padding": "same"},
+        {"kind": "relu"}, {"kind": "flatten"}, {"kind": "dense", "units": 4}]}
+
+    @staticmethod
+    def digest(mask):
+        return hashlib.sha256(b"".join(mask.bits[i].tobytes()
+                                       for i in sorted(mask.bits))).hexdigest()
+
+    @pytest.mark.parametrize("draw, digest", [
+        (lambda net: random_mask(net, 0.37, seed=21),
+         "7f44420e5aa1f65ab0227711b4123634423861b298960b8095438fdd15b14952"),
+        (lambda net: random_mask(net, 0.8, seed=3, include_biases=False),
+         "02f1fccd92c12a91e40a063b3b0df31ce3e343970aea4b5346b8c8c6936bb1ab"),
+        (lambda net: sparsity.mask_with_counts(net, {3: 50, 0: 17}, seed=2),
+         "f14c0aad5a5dcafc7a5df042bf9c53135ca37b87bd3f06733602489869efc7d7"),
+        (lambda net: sparsity.mask_with_counts(net, {0: 40}, seed=5,
+                                               include_biases=False),
+         "5319614e0f699711c7fc5312c5d4e74e1e189b0224e876ff3bbdb5ad2e4b8505"),
+    ])
+    def test_bits_pinned(self, draw, digest):
+        assert self.digest(draw(nn.build_network(self.NET, 0))) == digest
