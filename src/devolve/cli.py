@@ -72,13 +72,8 @@ def _dataclass_keys(cls, **kinds) -> dict:
             for name, kind in kinds.items()}
 
 
-# Bit widths `devolve quantize` and `pack` can run, per scheme. uniform_scale
-# needs a sign bit, and the level solver is measured up to 10 bits. The
-# `identity` scheme's tables are not 2^bits long, so no container holds them.
-_BIT_RANGES = {"uniform_scale": (2, 16), "uniform_affine": (1, 16),
-               "optimal_density": (1, 10)}
 _SEED = Key(int, Same("master_seed"), low=0)
-_QUANT = {"scheme": Key(str, "uniform_affine", choices=tuple(_BIT_RANGES)),
+_QUANT = {"scheme": Key(str, "uniform_affine", choices=quantize.SCHEMES),
           "bits": Key(int, 8), "rounding": Key(str, "nearest", choices=quantize.ROUNDINGS)}
 
 # Every config key. A kind is int, float (any number), str, bool, dict (any
@@ -97,7 +92,7 @@ _SCHEMA = {
             "seed": _SEED, "feature_dim": Key(int, 2), "separation": Key(float, 5.0),
         }),
         "idx": Key({"images": Key(str, REQUIRED), "labels": Key(str, REQUIRED)}),
-        "probe": Key({"size": Key(int, REQUIRED), "seed": _SEED}),
+        "probe": Key({"size": Key(int, REQUIRED, low=1), "seed": _SEED}),
     },
     "train": {"epochs": Key(int, low=0), "lr": Key(float, 0.1, low=0, strict=True),
               "batch_size": Key(int, 64, low=1)},
@@ -183,17 +178,17 @@ def _fill_same(node, root: dict):
 
 
 def _check_bits(q: dict, path: str):
-    lo, hi = _BIT_RANGES[q["scheme"]]
-    if not lo <= q["bits"] <= hi:
-        raise ConfigError(f"{path}bits must be in {lo}..{hi} for {q['scheme']}, "
-                          f"got {q['bits']}")
+    try:
+        quantize.check_bits(q["scheme"], q["bits"])
+    except ValueError as e:
+        raise ConfigError(f"{path}bits: {e}")
 
 
 def validate_config(config: dict) -> dict:
-    """The config checked against `_SCHEMA` and against the checks of
-    `EvolutionConfig` and `DivergenceSpec`, with every default filled in and
-    per-layer maps keyed by int. The de scope and the head columns are checked
-    later, against the network."""
+    """The config checked against `_SCHEMA`, `quantize.check_bits`,
+    `datasets.check_synthetic`, `EvolutionConfig` and `DivergenceSpec`, with
+    defaults filled in and per-layer maps keyed by int. The de scope and the
+    head columns wait for the network, and the probe's upper size for the data."""
     if not isinstance(config, dict):
         raise ConfigError("config must be a JSON object")
     resolved = _resolve_section(config, _SCHEMA, "")
@@ -202,6 +197,13 @@ def validate_config(config: dict) -> dict:
     _check_bits(quant, "quantization.")
     for layer, q in quant["per_layer"].items():
         _check_bits(q, f"quantization.per_layer.{layer}.")
+    synthetic = resolved["data"]["synthetic"]
+    if synthetic is not None:
+        try:
+            datasets.check_synthetic(synthetic["kind"], synthetic["n"], synthetic["classes"],
+                                     synthetic["feature_dim"], synthetic["separation"])
+        except ValueError as e:
+            raise ConfigError(f"invalid data.synthetic: {e}")
     _evolution_config(resolved)
     if resolved["divergence"]["heads"]:
         _divergence_spec(resolved, math.inf)
@@ -256,10 +258,7 @@ def _build_dataset(config: dict, input_shape) -> datasets.ProbeSet:
     network's, so IDX images [n,28,28] fit both [784] and [28,28,1]."""
     data = config["data"]
     if data["synthetic"] is not None:
-        try:
-            dataset = datasets.synthetic_dataset(**data["synthetic"])
-        except ValueError as e:
-            raise ConfigError(f"invalid data.synthetic: {e}")
+        dataset = datasets.synthetic_dataset(**data["synthetic"])
     elif data["idx"] is not None:
         dataset = datasets.load_idx_dataset(data["idx"]["images"], data["idx"]["labels"])
     else:
@@ -424,13 +423,11 @@ def cmd_pack(config: dict) -> int:
         luts = json.load(f)
     quants = []
     for entry in luts["layers"]:
-        spec = quantize.QuantizationSpec(
-            entry["scheme"], entry["bits"], entry["rounding"],
-            np.asarray(entry["levels"], dtype=np.float64), entry.get("seed", 0))
-        i = entry["layer"]
         # values are exact level entries, so nearest lookup recovers the codes
-        codes = quantize.quantize(qnet.layers[i].flat_params(), mask.layer_bits(i),
-                                  dataclasses.replace(spec, rounding="nearest"))
+        spec = quantize.QuantizationSpec(entry["scheme"], entry["bits"], "nearest",
+                                         entry["levels"])
+        i = entry["layer"]
+        codes = quantize.quantize(qnet.layers[i].flat_params(), mask.layer_bits(i), spec)
         quants.append(quantize.LayerQuantization(i, spec, codes))
     packed = packing.pack_model(quantize.QuantizedModel(qnet, mask, quants))
     with open(path, "wb") as f:

@@ -110,15 +110,11 @@ def _balanced_labels(n: int, classes: int) -> np.ndarray:
     return np.repeat(np.arange(classes), counts)
 
 
-def synthetic_dataset(kind: str, n: int, classes: int, seed: int,
-                      feature_dim: int = 2, separation: float = 5.0) -> ProbeSet:
-    """Deterministic synthetic classification data.
-
-    blobs: one Gaussian cluster per class; expected pairwise center distance is
-    `separation` noise units, so a small MLP separates them without being
-    trivially perfect. rings: concentric rings in the first two features,
-    requiring a nonlinear boundary.
-    """
+def check_synthetic(kind: str, n: int, classes: int, feature_dim: int,
+                    separation: float):
+    """Raises ValueError unless synthetic_dataset can build these arguments."""
+    if kind not in ("blobs", "rings"):
+        raise ValueError(f"unknown synthetic kind {kind!r}")
     if classes < 1:
         raise ValueError(f"classes must be >= 1, got {classes}")
     if n < classes:
@@ -128,6 +124,18 @@ def synthetic_dataset(kind: str, n: int, classes: int, seed: int,
         raise ValueError(f"feature_dim {feature_dim} is too small for {kind}")
     if not math.isfinite(separation):
         raise ValueError(f"separation must be finite, got {separation}")
+
+
+def synthetic_dataset(kind: str, n: int, classes: int, seed: int,
+                      feature_dim: int = 2, separation: float = 5.0) -> ProbeSet:
+    """Deterministic synthetic classification data.
+
+    blobs: one Gaussian cluster per class; expected pairwise center distance is
+    `separation` noise units, so a small MLP separates them without being
+    trivially perfect. rings: concentric rings in the first two features,
+    requiring a nonlinear boundary.
+    """
+    check_synthetic(kind, n, classes, feature_dim, separation)
     kind_tag = int.from_bytes(kind.encode()[:4].ljust(4, b"\0"), "big")
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), kind_tag]))
     labels = _balanced_labels(n, classes)
@@ -135,7 +143,7 @@ def synthetic_dataset(kind: str, n: int, classes: int, seed: int,
         scale = separation / np.sqrt(2.0 * feature_dim)
         centers = rng.normal(size=(classes, feature_dim)) * scale
         inputs = centers[labels] + rng.normal(size=(n, feature_dim))
-    elif kind == "rings":
+    else:  # rings
         radii = 1.0 + 2.0 * np.arange(classes)
         theta = rng.uniform(0.0, 2.0 * np.pi, size=n)
         r = radii[labels] + rng.normal(scale=0.25, size=n)
@@ -144,8 +152,6 @@ def synthetic_dataset(kind: str, n: int, classes: int, seed: int,
         inputs[:, 1] = r * np.sin(theta)
         if feature_dim > 2:
             inputs[:, 2:] = rng.normal(scale=0.1, size=(n, feature_dim - 2))
-    else:
-        raise ValueError(f"unknown synthetic kind {kind!r}")
     perm = rng.permutation(n)
     return ProbeSet(inputs[perm], labels[perm],
                     provenance=f"synthetic:{kind}:seed={seed}")

@@ -351,21 +351,19 @@ def pack_model(qmodel: QuantizedModel) -> PackedModel:
         pl = PackedLayer(layer.kind, layer.hyper(), shapes)
         if shapes:
             lq = by_layer[i]
-            n_levels = lq.spec.levels.size
-            if n_levels != 2 ** lq.spec.bits:  # an identity table
-                raise ValueError(
-                    f"layer {i}: {n_levels} levels cannot pack into "
-                    f"{lq.spec.bits}-bit codes"
-                )
+            levels = lq.spec.levels.astype("<f4")
+            if not (np.isfinite(levels).all() and (np.diff(levels) > 0).all()):
+                raise ValueError(f"layer {i}: the level table is not finite and strictly "
+                                 f"increasing in float32, so unpack_model would reject it")
             freqs = {int(s): int(c) for s, c in
                      zip(*np.unique(lq.codes, return_counts=True))}
             # a fully pruned layer has no codes: an all-zero table, an empty payload
-            table = (huffman_build(freqs, n_symbols=n_levels) if freqs
-                     else HuffmanTable(np.zeros(n_levels, dtype=np.uint8)))
+            table = (huffman_build(freqs, n_symbols=levels.size) if freqs
+                     else HuffmanTable(np.zeros(levels.size, dtype=np.uint8)))
             pl.mask_tag, pl.mask_payload, pl.payload, pl.payload_bit_length = (
                 encode_layer(mask.layer_bits(i), lq.codes, table))
             pl.lut_bits = lq.spec.bits
-            pl.lut_levels = lq.spec.levels.astype("<f4")
+            pl.lut_levels = levels
             pl.code_lengths = table.lengths
         layers.append(pl)
     return PackedModel(net.input_shape, layers)

@@ -1,6 +1,6 @@
 """Scalar quantization of surviving parameters.
 
-Three level-placement schemes map weights to b-bit codes:
+Three level-placement schemes map weights to b-bit codes, b in BIT_RANGES:
 
 * uniform_scale: levels i*delta for signed codes i, zero exactly representable,
   only a scale factor needs storing; out-of-range weights clip.
@@ -37,7 +37,9 @@ from .nn import Network
 from .sparsity import SparsityMask
 from .evolution import DivergenceSpec, divergence
 
-SCHEMES = ("uniform_scale", "uniform_affine", "optimal_density", "identity")
+# inclusive; uniform_scale needs a sign bit, the solver is measured to 10 bits
+BIT_RANGES = {"uniform_scale": (2, 16), "uniform_affine": (1, 16), "optimal_density": (1, 10)}
+SCHEMES = tuple(BIT_RANGES)
 ROUNDINGS = ("nearest", "stochastic")
 
 DENSITY_FLOOR_RATIO = 1e-6  # of the peak height; keeps level spacing finite
@@ -142,12 +144,20 @@ def uniform_density(lo: float, hi: float, bins: int = 16) -> Density:
 # Level placement
 # ---------------------------------------------------------------------------
 
+def check_bits(scheme: str, bits: int):
+    """Raises ValueError unless `scheme` is known and builds `bits`-bit tables."""
+    if scheme not in BIT_RANGES:
+        raise ValueError(f"unknown scheme {scheme!r}")
+    lo, hi = BIT_RANGES[scheme]
+    if not lo <= bits <= hi:
+        raise ValueError(f"{scheme} takes bits >= {lo} and <= {hi}, got {bits}")
+
+
 def uniform_levels(w_min: float, w_max: float, bits: int, scheme: str) -> np.ndarray:
     """Equally spaced level tables; see the module docstring for the two
     variants. An empty range (w_min == w_max) yields a one-level, 0-bit
     table."""
-    if bits < 1:
-        raise ValueError("bits must be >= 1")
+    check_bits(scheme, bits)
     if w_min > w_max:
         raise ValueError(f"w_min {w_min} > w_max {w_max}")
     if w_min == w_max:
@@ -155,8 +165,6 @@ def uniform_levels(w_min: float, w_max: float, bits: int, scheme: str) -> np.nda
     if scheme == "uniform_affine":
         return np.linspace(w_min, w_max, 2 ** bits)
     if scheme == "uniform_scale":
-        if bits < 2:
-            raise ValueError("uniform_scale needs bits >= 2 (scale is undefined)")
         half = 2 ** (bits - 1)
         delta = max(abs(w_min), abs(w_max)) / (half - 1)
         return np.arange(-half, half, dtype=np.float64) * delta
@@ -354,8 +362,7 @@ def solve_levels(density: Density, n_levels: int) -> np.ndarray:
 def optimal_levels(density: Density, bits: int) -> np.ndarray:
     """Error-minimizing table of 2^bits levels (endpoints pinned to the
     support)."""
-    if bits < 1:
-        raise ValueError("bits must be >= 1")
+    check_bits("optimal_density", bits)
     return solve_levels(density, 2 ** bits)
 
 
@@ -432,7 +439,7 @@ class QuantizationSpec:
             raise ValueError("levels must be finite")
         if (np.diff(self.levels) <= 0).any():
             raise ValueError("levels must be strictly increasing")
-        if self.scheme != "identity" and self.levels.size != 2 ** self.bits:
+        if self.levels.size != 2 ** self.bits:
             raise ValueError(
                 f"{self.scheme} expects {2 ** self.bits} levels, "
                 f"got {self.levels.size}"
@@ -441,25 +448,17 @@ class QuantizationSpec:
 
 def build_spec(values: np.ndarray, scheme: str, bits: int,
                rounding: str = "nearest", seed: int = 0) -> QuantizationSpec:
-    """Level table for a concrete set of surviving weights."""
+    """Level table for a set of surviving weights: 2^bits levels, or one level
+    (0 bits) when they are all equal, [0.0] when there are none."""
+    check_bits(scheme, bits)
     values = np.asarray(values, dtype=np.float64).reshape(-1)
-    if values.size == 0:
-        raise ValueError("cannot quantize an empty surviving set")
-    w_min, w_max = float(values.min()), float(values.max())
-    if scheme == "identity":
-        levels = np.unique(values)
-        # ceil(log2(size)) bits, 0 for a single value
-        return QuantizationSpec("identity", (levels.size - 1).bit_length(), rounding,
-                                levels, seed)
+    w_min, w_max = (float(values.min()), float(values.max())) if values.size else (0.0, 0.0)
     if w_min == w_max:
         return QuantizationSpec(scheme, 0, rounding, np.array([w_min]), seed)
-    if scheme in ("uniform_scale", "uniform_affine"):
-        levels = uniform_levels(w_min, w_max, bits, scheme)
-    elif scheme == "optimal_density":
-        density = Density.from_samples(values)
-        levels = optimal_levels(density, bits)
+    if scheme == "optimal_density":
+        levels = optimal_levels(Density.from_samples(values), bits)
     else:
-        raise ValueError(f"unknown scheme {scheme!r}")
+        levels = uniform_levels(w_min, w_max, bits, scheme)
     return QuantizationSpec(scheme, bits, rounding, levels, seed)
 
 
@@ -535,11 +534,10 @@ def quantize_network(student: Network, mask: SparsityMask,
         l_rounding = overrides.get("rounding", rounding)
         flat, mask_bits = student.layers[i].flat_params(), mask.layer_bits(i)
         layer_seed = int(np.random.SeedSequence([int(seed), i]).generate_state(1)[0])
-        if mask_bits.all():  # fully pruned layer: no codes, a 0-bit placeholder table
-            spec = QuantizationSpec(l_scheme, 0, l_rounding, np.array([0.0]), layer_seed)
-        else:
-            spec = build_spec(flat[~mask_bits], l_scheme, l_bits, l_rounding,
-                              seed=layer_seed)
+        try:
+            spec = build_spec(flat[~mask_bits], l_scheme, l_bits, l_rounding, layer_seed)
+        except ValueError as e:
+            raise ValueError(f"layer {i}: {e}") from e
         codes = quantize(flat, mask_bits, spec)
         restored = np.zeros_like(flat)
         restored[~mask_bits] = dequantize(codes, spec)

@@ -134,7 +134,7 @@ def test_criterion_4_stochastic_unbiasedness():
         hi = lo + rng.uniform(0.05, 2.0)
         w = rng.uniform(lo, hi)
         spec = quantize.QuantizationSpec(
-            "identity", 1, "stochastic", np.array([lo, hi]), seed=1000 + case)
+            "uniform_affine", 1, "stochastic", np.array([lo, hi]), seed=1000 + case)
         vals = dequantize(quantize.quantize(np.full(n, w), None, spec), spec)
         p_up = (w - lo) / (hi - lo)
         sigma = (hi - lo) * math.sqrt(p_up * (1.0 - p_up))

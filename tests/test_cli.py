@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -175,6 +176,24 @@ def test_readme_lists_the_config_table():
         readme_table_rows()
 
 
+def test_readme_states_the_bit_ranges():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    sentence = readme.split("- `quantization.bits` (also per layer) outside ")[1].split(";")[0]
+    ranges = re.findall(r"(\d+)\.\.(\d+) for `(\w+)`", sentence)
+    assert {scheme: (int(lo), int(hi)) for lo, hi, scheme in ranges} == quantize.BIT_RANGES
+    assert len(ranges) == len(quantize.BIT_RANGES)
+
+
+@pytest.fixture(scope="module")
+def pipeline_files(tmp_path_factory):
+    """Every input file of eval, pack and report, from one pipeline run."""
+    tmp = tmp_path_factory.mktemp("pipeline")
+    path, _ = pipeline_config(tmp)
+    for stage in ("train", "sparsify", "quantize", "pack", "unpack"):
+        assert main([stage, "--config", str(path)]) == 0
+    return {p.name: p.read_bytes() for p in tmp.iterdir() if p.name != "model.devp"}
+
+
 class TestExitCodes:
     def test_missing_config_is_validation_error(self, capsys):
         assert main(["train", "--config", "/nonexistent.json"]) == 1
@@ -308,6 +327,36 @@ class TestExitCodes:
         assert main([command, "--config", str(path), "--set", setting]) == 1
         assert match in capsys.readouterr().err
         assert sorted(tmp_path.iterdir()) == files
+
+    @pytest.mark.parametrize("setting", ["data.probe.size=0", "data.synthetic.classes=0"])
+    @pytest.mark.parametrize("command", ["eval", "pack", "report"])
+    def test_data_ranges_are_checked_at_load_in_every_command(
+            self, tmp_path, capsys, pipeline_files, command, setting):
+        for name, data in pipeline_files.items():
+            (tmp_path / name).write_bytes(data)
+        path, _ = pipeline_config(tmp_path)
+        files = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        assert main([command, "--config", str(path), "--set", setting]) == 1
+        assert setting.rsplit(".", 1)[0] in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == files
+
+    def test_pack_refuses_a_table_that_float32_cannot_hold(self, tmp_path, capsys):
+        path, cfg = pipeline_config(tmp_path)
+        del cfg["model"]["path"]  # no teacher
+        cfg["data"]["synthetic"]["feature_dim"] = 5
+        cfg["quantization"]["bits"] = 8
+        path.write_text(json.dumps(cfg))
+        # 256 distinct f64 levels over 1e-6 near 0.5 are fewer in f32
+        net = nn.Network([nn.Dense(np.linspace(0.5, 0.5 + 1e-6, 50).reshape(5, 10),
+                                   np.zeros(10))], (5,))
+        mask = sparsity.SparsityMask.empty(net)
+        mask.bits[0][50:] = True  # biases pruned
+        nn.save_network(net, cfg["output"]["student"])
+        sparsity.save_mask(mask, cfg["output"]["mask"])
+        assert main(["quantize", "--config", str(path)]) == 0
+        assert main(["pack", "--config", str(path)]) == 2
+        assert "layer 0" in capsys.readouterr().err
+        assert not (tmp_path / "model.devp").exists()
 
     def test_blown_up_train_writes_no_model(self, tmp_path, capsys):
         path, _ = pipeline_config(tmp_path)

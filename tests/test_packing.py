@@ -1,3 +1,4 @@
+import hashlib
 import math
 import re
 
@@ -373,6 +374,54 @@ class TestContainer:
         packed = pack_model(model)
         back, _ = unpack_model(PackedModel.from_bytes(packed.to_bytes()))
         np.testing.assert_allclose(back.layers[0].weights, 0.25, rtol=1e-7)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in cast")
+    @pytest.mark.parametrize("weights", [
+        np.linspace(0.5, 0.5 + 1e-6, 50),  # 256 distinct f64 levels, fewer in f32
+        np.linspace(-1e39, 1e39, 50)])  # past the largest f32
+    def test_table_that_float32_cannot_hold_is_refused(self, weights):
+        net = nn.Network([nn.Dense(weights.reshape(5, 10), np.zeros(10))], (5,))
+        mask = SparsityMask.empty(net)
+        mask.bits[0][50:] = True  # biases pruned
+        model, _ = quantize_network(net, mask, scheme="uniform_affine", bits=8)
+        with pytest.raises(ValueError, match="layer 0: .* float32"):
+            pack_model(model)
+
+    # sha256 of the quantized model, the level tables and the container of
+    # the net below; how a table is built may change, its bytes may not
+    PINNED = {
+        ("uniform_scale", 4, "nearest"):
+            "68bcf01b88749b9e9ff1eb121971c8b957fef34419173cabc862a9e16a2aafde",
+        ("uniform_scale", 4, "stochastic"):
+            "c0a571f124f1798f57fa56d7b7136a4e7bffb8c048b9ecec5176e131736f1410",
+        ("uniform_affine", 8, "nearest"):
+            "4905d68f6a1bbaeaec0a91a9bb86a0ea0e28ae61fb68dcfc116767a0f91d6420",
+        ("uniform_affine", 8, "stochastic"):
+            "8a6ea4586923c84feb85f2e519c23b372ff6535ea1e27d74cab2d4fae4f748c4",
+        ("optimal_density", 4, "nearest"):
+            "8468baca5d4d680e7b4e4126f2147a8bc41507205bd530d8f8479eb3b7d5c0ba",
+        ("optimal_density", 4, "stochastic"):
+            "07beffdd25a12534044e71b42b7ddea5a4cdd70ce15975f4581006cf32e436c3",
+    }
+
+    @pytest.mark.parametrize("scheme,bits,rounding", PINNED)
+    def test_artifact_bytes_are_pinned(self, scheme, bits, rounding):
+        net = nn.build_network({"input_shape": [6], "layers": [
+            {"kind": "dense", "units": 24}, {"kind": "relu"},
+            {"kind": "dense", "units": 5}, {"kind": "relu"},
+            {"kind": "dense", "units": 3}]}, 11)
+        layers = list(net.layers)
+        layers[4] = nn.Dense(np.full((5, 3), 0.25), np.full(3, 0.25))  # constant
+        net = nn.Network(layers, net.input_shape)
+        mask = sparsity.random_mask(net, 0.5, seed=12, include_biases=False)
+        mask.bits[2][:] = True  # fully pruned
+        model, _ = quantize_network(sparsity.apply_mask(net, mask), mask, scheme=scheme,
+                                    bits=bits, rounding=rounding, seed=13)
+        digest = hashlib.sha256(nn.serialize_network(model.network))
+        for lq in model.layers:
+            digest.update(bytes([lq.spec.bits]) + lq.spec.levels.tobytes())
+        digest.update(pack_model(model).to_bytes())
+        assert digest.hexdigest() == self.PINNED[scheme, bits, rounding]
 
 
 class TestCompressionReport:

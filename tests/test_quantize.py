@@ -47,6 +47,24 @@ class TestUniformLevels:
                                                      "uniform_affine"), [0.5])
 
 
+@pytest.mark.parametrize("scheme,bits", [
+    (scheme, bits) for scheme, (lo, hi) in q.BIT_RANGES.items() for bits in (lo - 1, hi + 1)])
+def test_width_outside_bit_range_is_refused_before_any_work(monkeypatch, scheme, bits):
+    solves = []
+    monkeypatch.setattr(q, "solve_levels", lambda *a: solves.append(a))
+    refused = pytest.raises(ValueError, match=f"{scheme} takes bits >= ")
+    # survivors spread, constant and none: every table's width is checked
+    for values in (np.linspace(-1.0, 1.0, 50), np.full(5, 2.0), np.zeros(0)):
+        with refused:
+            build_spec(values, scheme, bits)
+    with refused:
+        if scheme == "optimal_density":
+            optimal_levels(sampled_density(0), bits)
+        else:
+            uniform_levels(-1.0, 1.0, bits, scheme)
+    assert solves == []
+
+
 class TestDensity:
     def test_masses_must_normalize(self):
         with pytest.raises(ValueError, match="sum to 1"):
@@ -267,13 +285,13 @@ class TestQuantizationError:
 class TestQuantize:
     def _spec(self, levels, rounding="nearest", seed=0):
         bits = max(1, math.ceil(math.log2(len(levels))))
-        return QuantizationSpec("identity", bits, rounding,
+        return QuantizationSpec("uniform_affine", bits, rounding,
                                 np.asarray(levels, dtype=np.float64), seed)
 
     def test_exact_level_maps_to_itself(self):
-        spec = self._spec([0.0, 0.5, 1.0])
+        spec = self._spec([0.0, 0.5, 1.0, 1.5])
         for rounding in ("nearest", "stochastic"):
-            s = self._spec([0.0, 0.5, 1.0], rounding)
+            s = self._spec([0.0, 0.5, 1.0, 1.5], rounding)
             codes = quantize(np.array([0.5]), None, s)
             assert dequantize(codes, s)[0] == 0.5
 
@@ -373,16 +391,15 @@ class TestQuantizeNetwork:
                                     include_biases=False)
         return sparsity.apply_mask(net, mask), mask
 
-    def test_identity_mode_zero_delta(self):
-        from devolve import datasets
-        student, mask = self._sparse_student()
-        ds = datasets.synthetic_dataset("blobs", 64, 3, seed=5, feature_dim=6)
-        model, report = quantize_network(student, mask, scheme="identity",
-                                         dataset=ds)
-        assert report["accuracy_delta"] == 0.0
-        for a, b in zip(student.layers[0].param_tensors(),
-                        model.network.layers[0].param_tensors()):
-            np.testing.assert_array_equal(a, b)
+    @pytest.mark.parametrize("scheme", ["uniform_affine", "optimal_density"])
+    def test_unbuildable_table_names_its_layer(self, scheme):
+        # two adjacent doubles: 256 levels cannot be strictly increasing between them
+        net = nn.Network([nn.Dense(np.array([[1.0, np.nextafter(1.0, 2.0)]]),
+                                   np.zeros(2))], (1,))
+        mask = sparsity.SparsityMask.empty(net)
+        mask.bits[0][2:] = True  # biases pruned
+        with pytest.raises(ValueError, match="^layer 0: "):
+            quantize_network(net, mask, scheme=scheme, bits=8)
 
     def test_per_layer_lut_count(self):
         student, mask = self._sparse_student()
