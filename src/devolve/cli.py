@@ -325,7 +325,7 @@ def cmd_train(config: dict) -> int:
         net = nn.build_network(arch, config["model"]["init_seed"])
     except (KeyError, TypeError, ValueError) as e:
         raise ConfigError(f"invalid model.architecture: {type(e).__name__} {e}")
-    if net.layers and net.layers[-1].kind != "softmax":
+    if net.layers[-1].kind != "softmax":
         raise ConfigError("cross-entropy training expects a softmax output layer")
     dataset = _build_dataset(config, net.input_shape)
     width = int(np.prod(net.output_shape))

@@ -67,8 +67,9 @@ class DivergenceSpec:
 
 
 def divergence(student_out: np.ndarray, teacher_out: np.ndarray,
-               spec: DivergenceSpec) -> float:
-    """Weighted sum of per-head mean squared errors on normalized outputs."""
+               spec: DivergenceSpec, grad: Optional[np.ndarray] = None) -> float:
+    """Weighted sum of per-head mean squared errors on normalized outputs.
+    With `grad`, each head also adds its d value / d student_out into it."""
     if student_out.shape != teacher_out.shape:
         raise ValueError(
             f"output shapes differ: {student_out.shape} vs {teacher_out.shape}"
@@ -77,6 +78,8 @@ def divergence(student_out: np.ndarray, teacher_out: np.ndarray,
     for h in spec.heads:
         diff = (student_out[:, h.start:h.stop] - teacher_out[:, h.start:h.stop]) / h.divisor
         total += h.weight * float(np.mean(diff * diff))
+        if grad is not None:
+            grad[:, h.start:h.stop] += h.weight * 2.0 * diff / (h.divisor * diff.size)
     return total
 
 
@@ -84,12 +87,7 @@ def divergence_grad(student_out: np.ndarray, teacher_out: np.ndarray,
                     spec: DivergenceSpec):
     """(value, d value / d student_out) for retraining."""
     grad = np.zeros_like(student_out)
-    total = 0.0
-    for h in spec.heads:
-        diff = (student_out[:, h.start:h.stop] - teacher_out[:, h.start:h.stop]) / h.divisor
-        total += h.weight * float(np.mean(diff * diff))
-        grad[:, h.start:h.stop] += h.weight * 2.0 * diff / (h.divisor * diff.size)
-    return total, grad
+    return divergence(student_out, teacher_out, spec, grad), grad
 
 
 @dataclass

@@ -14,8 +14,8 @@ DEVN layout (little-endian; `deserialize_network` raises `ModelFormatError`,
 a `ValueError`, on malformed input, non-finite values or trailing bytes):
 
     magic "DEVN" | version u16 | input ndim u8 + dims u32... | layer count u16
-    per layer: kind u8 | hyperparameters (conv2d: stride u8, same flag u8;
-        leaky_relu: slope f64; max_pool: pool u8, stride u8) | tensor count u8 |
+    per layer: kind tag u8 | hyperparameters (the kind's `HYPER`, in order;
+        a u8 index for a tuple of choices) | tensor count u8 |
         per tensor: ndim u8 + dims u32... + f64 values
     crc32 u32 of everything before it
 
@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -69,17 +70,32 @@ class Layer:
     `value_and_grads` calls no layer in front of the first parameter layer
     and asks that layer for no input gradient, so a parameterless layer is
     only ever asked for one.
+
+    Each kind is declared once, in its class: `tag` (its u8 on the wire),
+    `HYPER` (its hyperparameters in wire order: a struct code, or choices a u8
+    indexes), `n_tensors` (taken first by the constructor) and `build`.
     """
 
-    kind = "base"
+    kind, tag = "base", 0
+    HYPER: dict[str, str | tuple[str, ...]] = {}
+    n_tensors = 0
+
+    def __init__(self):
+        """No hyperparameters: a stray keyword raises a TypeError naming it."""
+
+    @classmethod
+    def build(cls, shape: tuple[int, ...], rng: np.random.Generator, **entry) -> "Layer":
+        """The layer an architecture entry (less "kind") makes on `shape` inputs."""
+        return cls(**entry)
+
+    def hyper(self) -> dict:
+        return {name: getattr(self, name) for name in self.HYPER}
 
     def param_tensors(self) -> list[np.ndarray]:
         return []
 
     def with_params(self, tensors: Sequence[np.ndarray]) -> "Layer":
-        if tensors:
-            raise ValueError(f"{self.kind} takes no parameters")
-        return self
+        return _layer_from_parts(self.kind, self.hyper(), tensors)
 
     def flat_params(self) -> np.ndarray:
         """A fresh 1-D copy of the parameters in the layer-flat layout."""
@@ -106,8 +122,12 @@ class Layer:
         the layer may overwrite with the output."""
         return self.apply(x)[0]
 
-    def hyper(self) -> dict:
-        return {}
+
+def _count(name: str, value) -> int:
+    """`value` if it is an integer >= 1; a bool, a float or a string is not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+    return int(value)
 
 
 def unflatten(flat: np.ndarray, shapes: Sequence[tuple[int, ...]]) -> list[np.ndarray]:
@@ -123,7 +143,15 @@ def unflatten(flat: np.ndarray, shapes: Sequence[tuple[int, ...]]) -> list[np.nd
 
 
 class Dense(Layer):
-    kind = "dense"
+    kind, tag = "dense", 1
+    n_tensors = 2
+
+    @classmethod
+    def build(cls, shape, rng, units):
+        if len(shape) != 1:
+            raise ShapeError(f"dense needs flat input, got shape {shape} (insert a flatten layer)")
+        units = _count("units", units)
+        return cls(glorot_uniform(rng, (shape[0], units), shape[0], units), np.zeros(units))
 
     def __init__(self, weights: np.ndarray, bias: np.ndarray):
         weights = np.asarray(weights, dtype=np.float64)
@@ -138,10 +166,6 @@ class Dense(Layer):
 
     def param_tensors(self):
         return [self.weights, self.bias]
-
-    def with_params(self, tensors):
-        w, b = tensors
-        return Dense(w, b)
 
     def out_shape(self, in_shape):
         if len(in_shape) != 1 or in_shape[0] != self.weights.shape[0]:
@@ -170,7 +194,17 @@ def _batch_slices(n: int, rows_per_item: int) -> list[tuple[int, int]]:
 class Conv2D(Layer):
     """2-D convolution, NHWC layout, kernel [kh, kw, cin, cout]."""
 
-    kind = "conv2d"
+    kind, tag = "conv2d", 2
+    HYPER = {"stride": "B", "padding": ("valid", "same")}
+    n_tensors = 2
+
+    @classmethod
+    def build(cls, shape, rng, filters, kernel=3, **hyper):
+        if len(shape) != 3:
+            raise ShapeError(f"conv2d needs [h,w,c] input, got shape {shape}")
+        k, f, cin = _count("kernel", kernel), _count("filters", filters), shape[2]
+        return cls(glorot_uniform(rng, (k, k, cin, f), k * k * cin, k * k * f),
+                   np.zeros(f), **hyper)
 
     def __init__(self, kernel: np.ndarray, bias: np.ndarray, stride: int = 1,
                  padding: str = "same"):
@@ -181,24 +215,15 @@ class Conv2D(Layer):
                 f"conv2d expects kernel [kh,kw,cin,cout] and bias [cout], "
                 f"got {kernel.shape} and {bias.shape}"
             )
-        if stride < 1:
-            raise ValueError("stride must be >= 1")
-        if padding not in ("same", "valid"):
+        if padding not in self.HYPER["padding"]:
             raise ValueError(f"unknown padding {padding!r}")
         self.kernel = kernel
         self.bias = bias
-        self.stride = int(stride)
+        self.stride = _count("stride", stride)
         self.padding = padding
 
     def param_tensors(self):
         return [self.kernel, self.bias]
-
-    def with_params(self, tensors):
-        k, b = tensors
-        return Conv2D(k, b, self.stride, self.padding)
-
-    def hyper(self):
-        return {"stride": self.stride, "padding": self.padding}
 
     def _geometry(self, h, w):
         kh, kw = self.kernel.shape[:2]
@@ -273,7 +298,7 @@ class Conv2D(Layer):
 
 
 class ReLU(Layer):
-    kind = "relu"
+    kind, tag = "relu", 4
 
     def out_shape(self, in_shape):
         return in_shape
@@ -300,15 +325,13 @@ class ReLU(Layer):
 
 
 class LeakyReLU(Layer):
-    kind = "leaky_relu"
+    kind, tag = "leaky_relu", 3
+    HYPER = {"slope": "d"}
 
     def __init__(self, slope: float = 0.1):
         if not 0.0 < slope < 1.0:
             raise ValueError(f"leaky slope must be in (0,1), got {slope}")
         self.slope = float(slope)
-
-    def hyper(self):
-        return {"slope": self.slope}
 
     def out_shape(self, in_shape):
         return in_shape
@@ -322,7 +345,7 @@ class LeakyReLU(Layer):
 
 
 class Flatten(Layer):
-    kind = "flatten"
+    kind, tag = "flatten", 5
 
     def out_shape(self, in_shape):
         return (int(np.prod(in_shape)),)
@@ -335,18 +358,12 @@ class Flatten(Layer):
 
 
 class MaxPool2D(Layer):
-    kind = "max_pool"
+    kind, tag = "max_pool", 6
+    HYPER = {"pool": "B", "stride": "B"}
 
     def __init__(self, pool: int = 2, stride: Optional[int] = None):
-        if pool < 1:
-            raise ValueError("pool size must be >= 1")
-        self.pool = int(pool)
-        self.stride = int(stride) if stride is not None else int(pool)
-        if self.stride < 1:
-            raise ValueError("stride must be >= 1")
-
-    def hyper(self):
-        return {"pool": self.pool, "stride": self.stride}
+        self.pool = _count("pool", pool)
+        self.stride = self.pool if stride is None else _count("stride", stride)
 
     def _geometry(self, h, w):
         p, s = self.pool, self.stride
@@ -390,7 +407,7 @@ class MaxPool2D(Layer):
 
 
 class Softmax(Layer):
-    kind = "softmax"
+    kind, tag = "softmax", 7
 
     def out_shape(self, in_shape):
         if len(in_shape) != 1:
@@ -411,9 +428,7 @@ class Softmax(Layer):
 
 LAYER_KINDS = {cls.kind: cls for cls in
                (Dense, Conv2D, ReLU, LeakyReLU, Flatten, MaxPool2D, Softmax)}
-_KIND_TAGS = {"dense": 1, "conv2d": 2, "leaky_relu": 3, "relu": 4,
-              "flatten": 5, "max_pool": 6, "softmax": 7}
-_TAG_KINDS = {v: k for k, v in _KIND_TAGS.items()}
+_BY_TAG = {cls.tag: cls for cls in LAYER_KINDS.values()}
 
 
 # ---------------------------------------------------------------------------
@@ -618,44 +633,22 @@ def build_network(arch: dict, seed: int) -> Network:
 
     {"input_shape": [784], "layers": [{"kind": "dense", "units": 128},
     {"kind": "leaky_relu", "slope": 0.1}, ...]}
+    Each entry's other keys go to its kind's `build`; an error names the layer.
     """
     rng = np.random.default_rng(seed)
-    shape = tuple(int(d) for d in arch["input_shape"])
+    shape = tuple(_count(f"input_shape[{i}]", d) for i, d in enumerate(arch["input_shape"]))
+    if not arch["layers"]:
+        raise ValueError("layers is empty")
     layers: list[Layer] = []
-    for desc in arch["layers"]:
-        kind = desc["kind"]
-        if kind == "dense":
-            if len(shape) != 1:
-                raise ShapeError(
-                    f"dense layer needs flat input, got shape {shape} "
-                    "(insert a flatten layer)"
-                )
-            units = int(desc["units"])
-            w = glorot_uniform(rng, (shape[0], units), shape[0], units)
-            layer = Dense(w, np.zeros(units))
-        elif kind == "conv2d":
-            if len(shape) != 3:
-                raise ShapeError(f"conv2d needs [h,w,c] input, got shape {shape}")
-            k = int(desc.get("kernel", 3))
-            f = int(desc["filters"])
-            cin = shape[2]
-            kern = glorot_uniform(rng, (k, k, cin, f), k * k * cin, k * k * f)
-            layer = Conv2D(kern, np.zeros(f), int(desc.get("stride", 1)),
-                           desc.get("padding", "same"))
-        elif kind == "leaky_relu":
-            layer = LeakyReLU(float(desc.get("slope", 0.1)))
-        elif kind == "relu":
-            layer = ReLU()
-        elif kind == "flatten":
-            layer = Flatten()
-        elif kind == "max_pool":
-            layer = MaxPool2D(int(desc.get("pool", 2)), desc.get("stride"))
-        elif kind == "softmax":
-            layer = Softmax()
-        else:
-            raise ValueError(f"unknown layer kind {kind!r}")
-        shape = layer.out_shape(shape)
-        layers.append(layer)
+    for i, entry in enumerate(arch["layers"]):
+        kind, entry = entry["kind"], {k: v for k, v in entry.items() if k != "kind"}
+        if kind not in LAYER_KINDS:
+            raise ValueError(f"layer {i}: unknown layer kind {kind!r}")
+        try:
+            layers.append(LAYER_KINDS[kind].build(shape, rng, **entry))
+            shape = layers[-1].out_shape(shape)
+        except (TypeError, ValueError) as e:
+            raise type(e)(f"layer {i} ({kind}): {e}") from None
     return Network(layers, arch["input_shape"])
 
 
@@ -670,32 +663,31 @@ def load_architecture(path: str) -> dict:
 
 def _write_kind(w: Writer, kind: str, hyper: dict):
     """A layer's kind tag and hyperparameters (`_read_kind`)."""
-    w.pack("<B", _KIND_TAGS[kind])
-    if kind == "conv2d":
-        w.pack("<BB", hyper["stride"], 1 if hyper["padding"] == "same" else 0)
-    elif kind == "leaky_relu":
-        w.pack("<d", hyper["slope"])
-    elif kind == "max_pool":
-        w.pack("<BB", hyper["pool"], hyper["stride"])
+    cls = LAYER_KINDS[kind]
+    w.pack("<B", cls.tag)
+    for name, code in cls.HYPER.items():
+        if isinstance(code, tuple):
+            w.pack("<B", code.index(hyper[name]))
+        else:
+            w.pack("<" + code, hyper[name])
 
 
 def _read_kind(r: Reader) -> tuple[str, dict]:
     """A layer's kind tag and hyperparameters."""
     (tag,) = r.unpack("<B")
-    kind = _TAG_KINDS.get(tag)
-    if kind is None:
+    cls = _BY_TAG.get(tag)
+    if cls is None:
         raise r.fail(f"unknown layer tag {tag}")
-    if kind == "conv2d":
-        stride, same = r.unpack("<BB")
-        if same > 1:
-            raise r.fail(f"conv2d padding flag {same} is neither 0 nor 1")
-        return kind, {"stride": stride, "padding": "same" if same else "valid"}
-    if kind == "leaky_relu":
-        return kind, {"slope": r.unpack("<d")[0]}
-    if kind == "max_pool":
-        pool, stride = r.unpack("<BB")
-        return kind, {"pool": pool, "stride": stride}
-    return kind, {}
+    hyper = {}
+    for name, code in cls.HYPER.items():
+        if isinstance(code, tuple):
+            (index,) = r.unpack("<B")
+            if index >= len(code):
+                raise r.fail(f"{cls.kind} {name} flag {index} is not below {len(code)}")
+            hyper[name] = code[index]
+        else:
+            (hyper[name],) = r.unpack("<" + code)
+    return cls.kind, hyper
 
 
 def serialize_network(net: Network) -> bytes:
@@ -713,11 +705,11 @@ def serialize_network(net: Network) -> bytes:
     return w.finish(crc=True)
 
 
-def _layer_from_parts(kind: str, hyper: dict, tensors: list[np.ndarray]) -> Layer:
-    n_params = 2 if kind in ("dense", "conv2d") else 0
-    if len(tensors) != n_params:
-        raise ShapeError(f"{kind} takes {n_params} parameter tensors, got {len(tensors)}")
-    return LAYER_KINDS[kind](*tensors, **hyper)
+def _layer_from_parts(kind: str, hyper: dict, tensors: Sequence[np.ndarray]) -> Layer:
+    cls = LAYER_KINDS[kind]
+    if len(tensors) != cls.n_tensors:
+        raise ShapeError(f"{kind} takes {cls.n_tensors} parameter tensors, got {len(tensors)}")
+    return cls(*tensors, **hyper)
 
 
 def deserialize_network(data: bytes) -> Network:

@@ -377,18 +377,17 @@ def unpack_model(packed: PackedModel) -> tuple[Network, SparsityMask]:
     mask_splits = {}
     with guard(PackedFormatError):
         for i, pl in enumerate(packed.layers):
-            if not pl.shapes:
-                layers.append(nn._layer_from_parts(pl.kind, pl.hyper, []))
-                continue
-            spec = QuantizationSpec("uniform_affine", pl.lut_bits, "nearest",
-                                    pl.lut_levels.astype(np.float64))
-            bits, flat, _ = decode_layer(
-                pl.mask_tag, pl.mask_payload, pl.payload, pl.payload_bit_length,
-                pl.size, HuffmanTable(pl.code_lengths), spec)
-            layers.append(nn._layer_from_parts(pl.kind, pl.hyper,
-                                               nn.unflatten(flat, pl.shapes)))
-            mask_bits[i] = bits
-            mask_splits[i] = tuple(math.prod(shape) for shape in pl.shapes)
+            tensors = []
+            if pl.shapes:
+                spec = QuantizationSpec("uniform_affine", pl.lut_bits, "nearest",
+                                        pl.lut_levels.astype(np.float64))
+                bits, flat, _ = decode_layer(
+                    pl.mask_tag, pl.mask_payload, pl.payload, pl.payload_bit_length,
+                    pl.size, HuffmanTable(pl.code_lengths), spec)
+                tensors = nn.unflatten(flat, pl.shapes)
+                mask_bits[i] = bits
+                mask_splits[i] = tuple(math.prod(shape) for shape in pl.shapes)
+            layers.append(nn._layer_from_parts(pl.kind, pl.hyper, tensors))
         net = Network(layers, packed.input_shape)
     return net, SparsityMask(mask_bits, mask_splits)
 

@@ -117,6 +117,34 @@ BOUNDARY = [
     ("de.divergence_budget", 0.0, None),  # rolls back the first cycle
     ("data.probe", {}, "config requires data.probe.size"),
     ("data.probe", {"seed": 4}, "config requires data.probe.size"),
+    # an architecture entry is checked, not guessed at: no unknown key is
+    # dropped and no count is rounded
+    ("model.architecture", {"input_shape": [2, 2, 1], "layers": [
+        {"kind": "conv2d", "filters": 2, "kernel": 1}, {"kind": "max_pool", "size": 3},
+        {"kind": "flatten"}, {"kind": "dense", "units": 3}, {"kind": "softmax"}]},
+     "unexpected keyword argument 'size'"),
+    ("model.architecture", {"input_shape": [2, 2, 1], "layers": [
+        {"kind": "conv2d", "filters": 2, "strides": 2}, {"kind": "flatten"},
+        {"kind": "dense", "units": 3}, {"kind": "softmax"}]},
+     "unexpected keyword argument 'strides'"),
+    ("model.architecture.layers", [
+        {"kind": "dense", "units": 6, "activation": "relu"},
+        {"kind": "dense", "units": 3}, {"kind": "softmax"}],
+     "unexpected keyword argument 'activation'"),
+    ("model.architecture.layers", [{"kind": "dense", "units": 2.7}, {"kind": "leaky_relu"},
+                                   {"kind": "dense", "units": 3}, {"kind": "softmax"}],
+     "layer 0 (dense): units must be an integer >= 1, got 2.7"),
+    ("model.architecture.layers", [{"kind": "dense", "units": True}, {"kind": "leaky_relu"},
+                                   {"kind": "dense", "units": 3}, {"kind": "softmax"}],
+     "layer 0 (dense): units must be an integer >= 1, got True"),
+    ("model.architecture.layers", [{"kind": "dense", "units": "5"}, {"kind": "leaky_relu"},
+                                   {"kind": "dense", "units": 3}, {"kind": "softmax"}],
+     "layer 0 (dense): units must be an integer >= 1, got '5'"),
+    ("model.architecture.layers", [{"kind": "dense", "units": 0}, {"kind": "leaky_relu"},
+                                   {"kind": "dense", "units": 3}, {"kind": "softmax"}],
+     "layer 0 (dense): units must be an integer >= 1, got 0"),
+    ("model.architecture.input_shape", [4.7], "input_shape[0] must be an integer >= 1"),
+    ("model.architecture.layers", [], "invalid model.architecture: ValueError layers is empty"),
 ]
 # optimal_density's widest tables; each level solve takes seconds
 SLOW_BOUNDARY = [("quantization", {"scheme": "optimal_density", "bits": 10}, None)]

@@ -226,6 +226,15 @@ class TestContainerTyped:
         with pytest.raises(PackedFormatError, match="not the one encode_mask picks"):
             decode_mask(tag, payload, size)
 
+    @pytest.mark.parametrize("flag", [2, 255])
+    def test_conv_padding_flag(self, container, flag):
+        # magic, version, input shape [6,6,1], layer count, conv2d's tag and stride
+        at = 4 + 2 + 1 + 4 * 3 + 2 + 2
+        assert container[at - 2:at + 1] == b"\x02\x01\x01"  # tag 2, stride 1, "same"
+        body = container[:at] + bytes([flag]) + container[at + 1:-4]
+        with pytest.raises(PackedFormatError, match="padding flag"):
+            PackedModel.from_bytes(body + struct.pack("<I", zlib.crc32(body)))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_nonfinite_level(self, container, bad):
         levels = PackedModel.from_bytes(container).layers[0].lut_levels.copy()

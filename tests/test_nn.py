@@ -1,3 +1,8 @@
+import inspect
+import json
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -461,3 +466,63 @@ class TestSerialization:
         net = small_net()
         # 6*5 + 5 + 5*3 + 3
         assert net.parameter_count() == 53
+
+
+class TestBuildNetwork:
+    @pytest.mark.parametrize("entry,match", [
+        ({"kind": "max_pool", "size": 3}, r"^layer 1 \(max_pool\): .*'size'"),
+        ({"kind": "max_pool", "stride": 2.0}, r"^layer 1 \(max_pool\): stride must be an integer"),
+        ({"kind": "conv2d", "filters": 2, "kernel": True},
+         r"^layer 1 \(conv2d\): kernel must be an integer"),
+        ({"kind": "conv2d", "filters": 2, "padding": "Same"},
+         r"^layer 1 \(conv2d\): unknown padding 'Same'"),
+        ({"kind": "relu", "slope": 0.1}, r"^layer 1 \(relu\): .*'slope'"),
+        ({"kind": "dense", "units": 2}, r"^layer 1 \(dense\): .*insert a flatten layer"),
+        ({"kind": "gelu"}, r"^layer 1: unknown layer kind 'gelu'"),
+    ])
+    def test_a_bad_entry_names_its_layer_and_key(self, entry, match):
+        arch = {"input_shape": [4, 4, 1], "layers": [{"kind": "relu"}, entry]}
+        with pytest.raises((TypeError, ValueError), match=match):
+            nn.build_network(arch, 0)
+
+    @pytest.mark.parametrize("arch,match", [
+        ({"input_shape": [4], "layers": []}, "layers is empty"),
+        ({"input_shape": [4, 0], "layers": [{"kind": "flatten"}]},
+         r"input_shape\[1\] must be an integer >= 1, got 0"),
+    ])
+    def test_an_empty_architecture_is_refused(self, arch, match):
+        with pytest.raises(ValueError, match=match):
+            nn.build_network(arch, 0)
+
+    def test_omitted_keys_take_the_constructor_defaults(self):
+        net = nn.build_network({"input_shape": [6, 6, 1], "layers": [
+            {"kind": "conv2d", "filters": 2}, {"kind": "leaky_relu"},
+            {"kind": "max_pool"}]}, 0)
+        conv, leaky, pool = net.layers
+        assert conv.kernel.shape == (3, 3, 1, 2)
+        assert (conv.hyper(), leaky.hyper(), pool.hyper()) == (
+            {"stride": 1, "padding": "same"}, {"slope": 0.1}, {"pool": 2, "stride": 2})
+
+
+def entry_keys(cls):
+    """{key: default, or inspect.Parameter.empty if required} of the
+    architecture entries `cls.build` takes; the keys it passes on to the
+    constructor are its HYPER."""
+    build = inspect.signature(cls.build).parameters
+    init = inspect.signature(cls.__init__).parameters
+    keys = {name: p.default for name, p in build.items()
+            if name not in ("shape", "rng") and p.kind is not p.VAR_KEYWORD}
+    return keys | {name: init[name].default for name in cls.HYPER}
+
+
+def test_readme_states_each_layer_kinds_keys():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    rows = dict(re.findall(r"^- `(\w+)`: (.*)$", readme, re.M))
+    for kind, cls in nn.LAYER_KINDS.items():
+        keys = entry_keys(cls)
+        assert set(re.findall(r"`(\w+)`", rows[kind])) == set(keys), kind
+        for name, default in keys.items():
+            if default is inspect.Parameter.empty:
+                assert f"`{name}` (required)" in rows[kind], (kind, name)
+            elif default is not None:
+                assert f"`{name}` ({json.dumps(default)}" in rows[kind], (kind, name)

@@ -423,6 +423,39 @@ class TestContainer:
         digest.update(pack_model(model).to_bytes())
         assert digest.hexdigest() == self.PINNED[scheme, bits, rounding]
 
+    # every layer kind, conv2d at both paddings and max_pool at a stride
+    # other than its window
+    EVERY_KIND_ARCH = {"input_shape": [9, 9, 2], "layers": [
+        {"kind": "conv2d", "filters": 3, "kernel": 3, "stride": 2, "padding": "valid"},
+        {"kind": "relu"},
+        {"kind": "conv2d", "filters": 4, "kernel": 2, "padding": "same"},
+        {"kind": "leaky_relu", "slope": 0.2},
+        {"kind": "max_pool", "pool": 2, "stride": 1},
+        {"kind": "flatten"},
+        {"kind": "dense", "units": 5},
+        {"kind": "softmax"}]}
+    # sha256 of its DEVN, its DEVP container and the restored model's DEVN
+    EVERY_KIND_PINNED = (
+        "2ba7aa67d78f43b2f34ffadba610b3432c9c789feea5fa4068e02d31d0d223bc",
+        "1efa13fbcdb48da9ab5176a35e67c70e59641f297df7c5e46f7f80e7eb3a6207",
+        "3241bba3d25114d9e515a3d385a3ef3fc9ad676554cba234a3138c032cd89276",
+    )
+
+    def test_every_layer_kind_bytes_are_pinned(self):
+        assert {kind: cls.tag for kind, cls in nn.LAYER_KINDS.items()} == {
+            "dense": 1, "conv2d": 2, "leaky_relu": 3, "relu": 4, "flatten": 5,
+            "max_pool": 6, "softmax": 7}
+        net = nn.build_network(self.EVERY_KIND_ARCH, 11)
+        assert {layer.kind for layer in net.layers} == set(nn.LAYER_KINDS)
+        mask = sparsity.random_mask(net, 0.3, seed=12)
+        model, _ = quantize_network(sparsity.apply_mask(net, mask), mask,
+                                    scheme="uniform_affine", bits=3)
+        container = pack_model(model).to_bytes()
+        restored, _ = unpack_model(PackedModel.from_bytes(container))
+        digests = tuple(hashlib.sha256(data).hexdigest() for data in (
+            nn.serialize_network(net), container, nn.serialize_network(restored)))
+        assert digests == self.EVERY_KIND_PINNED
+
 
 class TestCompressionReport:
     def test_identity_32bit_ratio_one(self):
