@@ -12,6 +12,12 @@ that `retrain` owns, with masked gradients zeroed so pruned positions stay
 zeroed), so effective steps shrink as a layer fills up and the search gets
 more cautious at high sparsity.
 
+When layer 0 is a conv, `run` builds the probe's im2col matrix for it once
+(if it fits in `nn.IM2COL_KEEP_BYTES`, 64 MiB) and every conv call on the
+probe of that run reads its rows: the teacher outputs, each sweep's front,
+each trial on layer 0 and each retraining step. The outputs have the same
+bits as per-call im2col, which a larger matrix falls back to.
+
 Every trial draws from its own RNG stream keyed by (master_seed, cycle, layer,
 trial), so histories replay bit-identically regardless of evaluation order or
 worker count.
@@ -223,37 +229,46 @@ def propose_candidates(net: Network, layer: int, cfg: EvolutionConfig,
 
 def evaluate_candidate(student: Network, cand: CandidateSet,
                        teacher_outputs: np.ndarray, inputs: np.ndarray,
-                       spec: DivergenceSpec) -> float:
+                       spec: DivergenceSpec, cols: Optional[np.ndarray] = None) -> float:
     """Divergence of `student` on `inputs` with the candidate's indices
     zeroed; nothing else is masked. The student is never modified: the
-    candidate's layer gets fresh tensors on a shallow copy."""
+    candidate's layer gets fresh tensors on a shallow copy. `cols` is as in
+    `nn.forward`."""
     layer = student.layers[cand.layer]
     flat = layer.flat_params()
     flat[cand.indices] = 0.0
     scratch = student.replace_layer(cand.layer, layer.with_flat_params(flat))
-    return divergence(nn.forward(scratch, inputs), teacher_outputs, spec)
+    return divergence(nn.forward(scratch, inputs, cols), teacher_outputs, spec)
 
 
 def evaluate_trials(student: Network, mask: SparsityMask,
                     candidates: Sequence[CandidateSet],
                     teacher_outputs: np.ndarray, probe: ProbeSet, spec: DivergenceSpec,
-                    workers: int = 1) -> np.ndarray:
+                    workers: int = 1, cols: Optional[np.ndarray] = None) -> np.ndarray:
     """Divergence per candidate, each zeroed on top of the mask; parallel
     execution is bit-identical to sequential because trials are independent
     and results keep trial order.
 
     The mask is applied once, and the layers in front of the first candidate
     layer run once on the probe: every trial evaluates only the tail of the
-    network from that layer on, with its candidate re-indexed to the tail."""
+    network from that layer on, with its candidate re-indexed to the tail.
+    `cols`, layer 0's im2col matrix of the probe that `run` builds once per
+    run (see `probe_cols`), goes to whichever call runs layer 0: the front,
+    or every trial when the front is empty."""
     masked = apply_mask(student, mask)
     front = min((c.layer for c in candidates), default=0)
-    acts = nn.forward(Network(masked.layers[:front], masked.input_shape), probe.inputs)
+    if front:
+        acts = nn.forward(Network(masked.layers[:front], masked.input_shape),
+                          probe.inputs, cols)
+        cols = None
+    else:
+        acts = probe.inputs
     tail = Network(masked.layers[front:], acts.shape[1:])
     tail_cands = ([CandidateSet(c.layer - front, c.indices) for c in candidates]
                   if front else candidates)
 
     def trial(cand):
-        return evaluate_candidate(tail, cand, teacher_outputs, acts, spec)
+        return evaluate_candidate(tail, cand, teacher_outputs, acts, spec, cols)
 
     if workers <= 1 or len(candidates) < 2:
         divs = [trial(c) for c in tail_cands]
@@ -289,17 +304,20 @@ def select_and_commit(cycle: int, layer: int, candidates: Sequence[CandidateSet]
 
 
 def retrain(student: Network, mask: SparsityMask, teacher_outputs: np.ndarray,
-            probe: ProbeSet, cfg: EvolutionConfig, spec: DivergenceSpec) -> Network:
+            probe: ProbeSet, cfg: EvolutionConfig, spec: DivergenceSpec,
+            cols: Optional[np.ndarray] = None) -> Network:
     """SGD on the divergence toward the teacher outputs; masked positions stay
     zero. Keeps the best parameters seen, so the result never diverges more
     than the input network, which is never modified. A step or epoch that goes
     non-finite ends the retraining (the next forward pass raises), and the best
-    network so far stands."""
+    network so far stands. `cols` is as in `evaluate_trials`; a batch of items
+    [lo, hi) takes its rows [lo*P, hi*P), P output pixels an item."""
     if cfg.retrain_epochs <= 0:
         return student
     inputs = probe.inputs
     n = inputs.shape[0]
     bs = min(cfg.retrain_batch_size, n)
+    per_item = 0 if cols is None else cols.shape[0] // n
     best_net = apply_mask(student, mask)
     net = best_net.copy()  # the one network stepped in place
     ones = Network([l.with_flat_params(np.ones(l.flat_params().size)) for l in net.layers],
@@ -307,18 +325,19 @@ def retrain(student: Network, mask: SparsityMask, teacher_outputs: np.ndarray,
     # 1.0 where a parameter survives, 0.0 where it is masked: masked gradients
     # are zero, so masked positions stay exactly 0.0 through every step
     keep = apply_mask(ones, mask).param_tensors()
-    best_div = divergence(nn.forward(net, inputs), teacher_outputs, spec)
+    best_div = divergence(nn.forward(net, inputs, cols), teacher_outputs, spec)
     try:
         for _ in range(cfg.retrain_epochs):
             for lo in range(0, n, bs):
                 hi = min(lo + bs, n)
                 target = teacher_outputs[lo:hi]
                 _, grads = nn.value_and_grads(
-                    net, inputs[lo:hi], lambda out: divergence_grad(out, target, spec))
+                    net, inputs[lo:hi], lambda out: divergence_grad(out, target, spec),
+                    None if cols is None else cols[lo * per_item:hi * per_item])
                 for g, k in zip(grads, keep):
                     g *= k
                 nn.sgd_step(net, grads, cfg.retrain_lr)
-            div = divergence(nn.forward(net, inputs), teacher_outputs, spec)
+            div = divergence(nn.forward(net, inputs, cols), teacher_outputs, spec)
             if not math.isfinite(div):
                 break
             if div < best_div:
@@ -327,6 +346,20 @@ def retrain(student: Network, mask: SparsityMask, teacher_outputs: np.ndarray,
     except FloatingPointError:
         pass
     return best_net
+
+
+def probe_cols(net: Network, inputs: np.ndarray) -> Optional[np.ndarray]:
+    """Layer 0's im2col matrix of `inputs` when layer 0 is a conv and the
+    matrix fits in `nn.IM2COL_KEEP_BYTES`; otherwise None, and every conv call
+    builds its own rows."""
+    first = net.layers[0]
+    if not isinstance(first, nn.Conv2D):
+        return None
+    oh, ow, _ = first.out_shape(net.input_shape)
+    row_bytes = math.prod(first.kernel.shape[:3]) * 8
+    if inputs.shape[0] * oh * ow * row_bytes > nn.IM2COL_KEEP_BYTES:
+        return None
+    return first.im2col(inputs)
 
 
 def run(teacher: Network, probe: ProbeSet, cfg: EvolutionConfig,
@@ -343,7 +376,8 @@ def run(teacher: Network, probe: ProbeSet, cfg: EvolutionConfig,
         spec = DivergenceSpec.whole_output(int(np.prod(teacher.output_shape)))
     scope = scope_layers(teacher, cfg)
 
-    teacher_outputs = nn.forward(teacher, probe.inputs)  # teacher is frozen
+    cols = probe_cols(teacher, probe.inputs)
+    teacher_outputs = nn.forward(teacher, probe.inputs, cols)  # teacher is frozen
     student = teacher.copy()
     mask = SparsityMask.empty(teacher)
     history: list[CycleRecord] = []
@@ -356,7 +390,7 @@ def run(teacher: Network, probe: ProbeSet, cfg: EvolutionConfig,
         return bool(mask.layer_bits(layer)[pool].all())
 
     status = "target_reached"
-    final_div = divergence(nn.forward(student, probe.inputs), teacher_outputs, spec)
+    final_div = divergence(nn.forward(student, probe.inputs, cols), teacher_outputs, spec)
     for cycle in range(cfg.max_cycles):
         pending = [l for l in scope if not done(l)]
         if not pending:
@@ -370,12 +404,12 @@ def run(teacher: Network, probe: ProbeSet, cfg: EvolutionConfig,
         for layer in workable:
             candidates = propose_candidates(student, layer, cfg, cycle)
             divs = evaluate_trials(student, mask, candidates, teacher_outputs,
-                                   probe, spec, cfg.workers)
+                                   probe, spec, cfg.workers, cols)
             mask, record = select_and_commit(cycle, layer, candidates, divs, mask)
             student = apply_mask(student, mask)
             history.append(record)
-        student = retrain(student, mask, teacher_outputs, probe, cfg, spec)
-        final_div = divergence(nn.forward(student, probe.inputs), teacher_outputs, spec)
+        student = retrain(student, mask, teacher_outputs, probe, cfg, spec, cols)
+        final_div = divergence(nn.forward(student, probe.inputs, cols), teacher_outputs, spec)
         for i in range(snapshot[2], len(history)):
             history[i].retrain_divergence = final_div
         if cfg.divergence_budget is not None and final_div > cfg.divergence_budget:

@@ -27,6 +27,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import struct
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -42,8 +43,15 @@ LOSS_KINDS = ("mse", "cross_entropy")
 # Rows of the im2col matrix built at a time (one row per output pixel). A
 # Conv2D builds its patch matrix over batch slices of at most this many rows,
 # so its peak memory is bounded by the input and output arrays rather than by
-# kh*kw copies of the input.
+# kh*kw copies of the input. Prebuilt rows go through the same slices.
 IM2COL_ROWS = 4096
+
+# The largest whole im2col matrix, in bytes, that a caller keeps to pass as
+# prebuilt rows. `evolution.run` builds its probe's layer-0 matrix once under
+# this bound: a 1,024-item 28x28 probe under a 3x3 kernel needs 58 MB per
+# input channel, so one channel fits and three do not. Above it, every conv
+# call builds its own slices.
+IM2COL_KEEP_BYTES = 64 << 20
 
 
 class ShapeError(ValueError):
@@ -123,10 +131,14 @@ class Layer:
         return self.apply(x)[0]
 
 
-def _count(name: str, value) -> int:
-    """`value` if it is an integer >= 1; a bool, a float or a string is not."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+def _count(name: str, value, code: str = "") -> int:
+    """`value` if it is an integer >= 1 (a bool, a float or a string is not)
+    that fits the unsigned struct `code` it is stored as, if one is given."""
+    top = 2 ** (8 * struct.calcsize("<" + code)) - 1 if code else math.inf
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or not 1 <= value <= top):
+        bound = f"in [1, {top}]" if code else ">= 1"
+        raise ValueError(f"{name} must be an integer {bound}, got {value!r}")
     return int(value)
 
 
@@ -219,7 +231,7 @@ class Conv2D(Layer):
             raise ValueError(f"unknown padding {padding!r}")
         self.kernel = kernel
         self.bias = bias
-        self.stride = _count("stride", stride)
+        self.stride = _count("stride", stride, self.HYPER["stride"])
         self.padding = padding
 
     def param_tensors(self):
@@ -249,33 +261,58 @@ class Conv2D(Layer):
         oh, ow, _, _ = self._geometry(in_shape[0], in_shape[1])
         return (oh, ow, self.kernel.shape[3])
 
+    @staticmethod
+    def _pad(x, ph, pw):
+        return np.pad(x, ((0, 0), (ph // 2, ph - ph // 2), (pw // 2, pw - pw // 2), (0, 0)))
+
     def _cols(self, xp, oh, ow):
-        """im2col: one row per output pixel, its patch in (kh, kw, cin) order."""
+        """im2col of padded input: one row per output pixel, item by item,
+        its patch in (kh, kw, cin) order."""
         kh, kw, cin = self.kernel.shape[:3]
         s = self.stride
         win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(1, 2))
         win = win[:, :s * (oh - 1) + 1:s, :s * (ow - 1) + 1:s]
         return win.transpose(0, 1, 2, 4, 5, 3).reshape(-1, kh * kw * cin)
 
-    def apply(self, x):
-        n, h, w, _ = x.shape
-        cout = self.kernel.shape[3]
-        oh, ow, ph, pw = self._geometry(h, w)
-        xp = np.pad(x, ((0, 0), (ph // 2, ph - ph // 2), (pw // 2, pw - pw // 2), (0, 0)))
-        k = self.kernel.reshape(-1, cout)
-        y = np.empty((n * oh * ow, cout))
+    def im2col(self, x):
+        """The whole patch matrix of `x`, for `apply(x, cols)`."""
+        oh, ow, ph, pw = self._geometry(x.shape[1], x.shape[2])
+        return self._cols(self._pad(x, ph, pw), oh, ow)
+
+    def _rows(self, ctx):
+        """(first row, end row, rows of the patch matrix) per batch slice:
+        slices of the prebuilt matrix, or built from the padded input."""
+        src, prebuilt, (n, h, w), (oh, ow, _, _) = ctx
         for lo, hi in _batch_slices(n, oh * ow):
-            np.matmul(self._cols(xp[lo:hi], oh, ow), k, out=y[lo * oh * ow:hi * oh * ow])
+            lo_row, hi_row = lo * oh * ow, hi * oh * ow
+            yield lo_row, hi_row, (src[lo_row:hi_row] if prebuilt
+                                   else self._cols(src[lo:hi], oh, ow))
+
+    def apply(self, x, cols=None):
+        """`cols`, if given, is `im2col(x)` built beforehand (or the rows of a
+        larger matrix that `x`'s items own): the GEMMs read its rows instead
+        of building them, and the ctx keeps it for `grads`."""
+        n, h, w, _ = x.shape
+        oh, ow, ph, pw = geometry = self._geometry(h, w)
+        cout = self.kernel.shape[3]
+        k = self.kernel.reshape(-1, cout)
+        if cols is not None and cols.shape != (n * oh * ow, k.shape[0]):
+            raise ShapeError(f"prebuilt im2col rows of shape {cols.shape} do not match "
+                             f"{n} items of {oh}x{ow} patches of {k.shape[0]}")
+        ctx = (self._pad(x, ph, pw) if cols is None else cols, cols is not None, (n, h, w),
+               geometry)
+        y = np.empty((n * oh * ow, cout))
+        for lo, hi, rows in self._rows(ctx):
+            np.matmul(rows, k, out=y[lo:hi])
         y += self.bias
-        return y.reshape(n, oh, ow, cout), (xp, (n, h, w), (oh, ow, ph, pw))
+        return y.reshape(n, oh, ow, cout), ctx
 
     def grads(self, ctx, grad_out, need_input=True):
-        xp, (n, h, w), (oh, ow, ph, pw) = ctx
         cout = self.kernel.shape[3]
         g = grad_out.reshape(-1, cout)
         gk = np.zeros((self.kernel.size // cout, cout))
-        for lo, hi in _batch_slices(n, oh * ow):
-            gk += self._cols(xp[lo:hi], oh, ow).T @ g[lo * oh * ow:hi * oh * ow]
+        for lo, hi, rows in self._rows(ctx):
+            gk += rows.T @ g[lo:hi]
         gb = grad_out.sum(axis=(0, 1, 2))
         gx = self._input_grad(g, ctx) if need_input else None
         return gx, [gk.reshape(self.kernel.shape), gb]
@@ -283,11 +320,11 @@ class Conv2D(Layer):
     def _input_grad(self, g, ctx):
         """The gradient of the unpadded input: each output pixel's patch
         gradient (g @ kernel^T) scattered back over its kh*kw taps."""
-        xp, (n, h, w), (oh, ow, ph, pw) = ctx
+        _, _, (n, h, w), (oh, ow, ph, pw) = ctx
         kh, kw, cin, cout = self.kernel.shape
         s = self.stride
         k = self.kernel.reshape(-1, cout)
-        gxp = np.zeros_like(xp)
+        gxp = np.zeros((n, h + ph, w + pw, cin))
         for lo, hi in _batch_slices(n, oh * ow):
             gcols = (g[lo * oh * ow:hi * oh * ow] @ k.T).reshape(hi - lo, oh, ow, kh, kw, cin)
             for i in range(kh):
@@ -362,8 +399,9 @@ class MaxPool2D(Layer):
     HYPER = {"pool": "B", "stride": "B"}
 
     def __init__(self, pool: int = 2, stride: Optional[int] = None):
-        self.pool = _count("pool", pool)
-        self.stride = self.pool if stride is None else _count("stride", stride)
+        self.pool = _count("pool", pool, self.HYPER["pool"])
+        self.stride = self.pool if stride is None else _count("stride", stride,
+                                                              self.HYPER["stride"])
 
     def _geometry(self, h, w):
         p, s = self.pool, self.stride
@@ -500,46 +538,56 @@ class Network:
         return Network(layers, self.input_shape)
 
 
-def _forward_with_ctx(net: Network, inputs: np.ndarray, keep: bool = True):
+def _forward_with_ctx(net: Network, inputs: np.ndarray, keep: bool = True,
+                      cols: Optional[np.ndarray] = None):
     """(outputs, one ctx per layer). With keep=False no ctx is kept, and a
     layer may overwrite its input unless that shares memory with `inputs`, so
     a ReLU after a conv holds one batch-sized array, not two. Two at once grew
     the heap past glibc's trim threshold on every trial of a conv layer, and
-    each trial faulted about 3 MiB back in."""
+    each trial faulted about 3 MiB back in. `cols` goes to a first Conv2D as
+    its prebuilt im2col rows of `inputs`."""
     first = x = np.asarray(inputs, dtype=np.float64)
     if x.shape[1:] != net.input_shape:
         raise ShapeError(
             f"batch shape {x.shape[1:]} does not match network input "
             f"shape {net.input_shape}"
         )
+    if cols is not None and not (net.layers and isinstance(net.layers[0], Conv2D)):
+        raise ShapeError("prebuilt im2col rows need a conv2d first layer")
+    extra = () if cols is None else (cols,)  # the first layer's only
     ctxs = []
     for i, layer in enumerate(net.layers):
         try:
             if keep:
-                x, ctx = layer.apply(x)
+                x, ctx = layer.apply(x, *extra)
                 ctxs.append(ctx)
             elif np.may_share_memory(x, first):
-                x = layer.apply(x)[0]
+                x = layer.apply(x, *extra)[0]
             else:
                 x = layer.apply_owned(x)
         except ShapeError as e:
             raise ShapeError(f"layer {i} ({layer.kind}): {e}") from None
         if not np.isfinite(x).all():
             raise FloatingPointError(f"non-finite values produced by layer {i} ({layer.kind})")
+        extra = ()
     return x, ctxs
 
 
-def forward(net: Network, inputs: np.ndarray) -> np.ndarray:
-    """Run the network on a stack of inputs; `inputs` is never modified."""
-    return _forward_with_ctx(net, inputs, keep=False)[0]
+def forward(net: Network, inputs: np.ndarray,
+            cols: Optional[np.ndarray] = None) -> np.ndarray:
+    """Run the network on a stack of inputs; `inputs` is never modified.
+    `cols`, for a conv2d first layer, is its `im2col(inputs)` built
+    beforehand; the outputs have the same bits either way."""
+    return _forward_with_ctx(net, inputs, keep=False, cols=cols)[0]
 
 
-def value_and_grads(net: Network, inputs: np.ndarray, loss):
+def value_and_grads(net: Network, inputs: np.ndarray, loss,
+                    cols: Optional[np.ndarray] = None):
     """(value, one gradient per parameter tensor) of `loss(outputs)`, which
     returns (value, d value / d outputs). The backward pass stops at the
     first parameter layer, which computes no input gradient: no caller reads
-    the gradient of the inputs."""
-    out, ctxs = _forward_with_ctx(net, inputs)
+    the gradient of the inputs. `cols` is as in `forward`."""
+    out, ctxs = _forward_with_ctx(net, inputs, cols=cols)
     value, g = loss(out)
     grads: list[list[np.ndarray]] = [[] for _ in net.layers]
     first = min(net.param_layer_indices(), default=len(net.layers))
@@ -734,8 +782,9 @@ def deserialize_network(data: bytes) -> Network:
 
 
 def save_network(net: Network, path: str):
+    data = serialize_network(net)  # first: a failure leaves no file behind
     with open(path, "wb") as f:
-        f.write(serialize_network(net))
+        f.write(data)
 
 
 def load_network(path: str) -> Network:

@@ -205,8 +205,9 @@ def deserialize_mask(data: bytes) -> SparsityMask:
 
 
 def save_mask(mask: SparsityMask, path: str):
+    data = serialize_mask(mask)  # first: a failure leaves no file behind
     with open(path, "wb") as f:
-        f.write(serialize_mask(mask))
+        f.write(data)
 
 
 def load_mask(path: str) -> SparsityMask:

@@ -143,6 +143,16 @@ BOUNDARY = [
     ("model.architecture.layers", [{"kind": "dense", "units": 0}, {"kind": "leaky_relu"},
                                    {"kind": "dense", "units": 3}, {"kind": "softmax"}],
      "layer 0 (dense): units must be an integer >= 1, got 0"),
+    # DEVN stores a stride or a pool as a u8
+    ("model.architecture", {"input_shape": [2, 2, 1], "layers": [
+        {"kind": "conv2d", "filters": 2, "kernel": 1, "stride": 300}, {"kind": "flatten"},
+        {"kind": "dense", "units": 3}, {"kind": "softmax"}]},
+     "layer 0 (conv2d): stride must be an integer in [1, 255], got 300"),
+    ("model.architecture", {"input_shape": [2, 2, 1], "layers": [
+        {"kind": "conv2d", "filters": 2, "kernel": 1}, {"kind": "max_pool", "pool": 1,
+                                                       "stride": 256},
+        {"kind": "flatten"}, {"kind": "dense", "units": 3}, {"kind": "softmax"}]},
+     "layer 1 (max_pool): stride must be an integer in [1, 255], got 256"),
     ("model.architecture.input_shape", [4.7], "input_shape[0] must be an integer >= 1"),
     ("model.architecture.layers", [], "invalid model.architecture: ValueError layers is empty"),
 ]

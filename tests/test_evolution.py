@@ -404,6 +404,36 @@ class TestRun:
             written.append(path.read_bytes())
         assert written[0] == written[1]
 
+    def test_conv_bytes_with_and_without_the_probe_matrix(self, tmp_path, monkeypatch):
+        # 130 items of 36 output pixels: 4,680 rows, more than one slice; a
+        # retraining batch of 48 leaves a last batch of 34
+        net = tiny_conv_teacher(2)
+        probe = conv_probe(130)
+        assert probe.size * 36 > nn.IM2COL_ROWS
+        base = dict(trials_per_cycle=5, step_fraction=0.1,
+                    target_sparsity={0: 0.3, 4: 0.3}, retrain_epochs=2,
+                    retrain_batch_size=48, retrain_lr=0.3, master_seed=7, scope=[0, 4])
+        builds = []
+        real = nn.Conv2D._cols
+        monkeypatch.setattr(nn.Conv2D, "_cols",
+                            lambda layer, *args: builds.append(1) or real(layer, *args))
+        written = {}
+        for keep in (nn.IM2COL_KEEP_BYTES, 0):  # 0: every conv call builds its own
+            monkeypatch.setattr(nn, "IM2COL_KEEP_BYTES", keep)
+            for workers in (1, 2):
+                builds.clear()
+                res = run(net, probe, EvolutionConfig(**base, workers=workers))
+                assert res.status == "target_reached"
+                assert {r.layer for r in res.history} == {0, 4}
+                assert all(math.isfinite(r.retrain_divergence) for r in res.history)
+                assert (len(builds) == 1) == (keep > 0)  # built once for the run
+                path = tmp_path / f"history-{keep}-{workers}.csv"
+                write_history(res.history, str(path))
+                written[keep, workers] = (path.read_bytes(),
+                                          sparsity.serialize_mask(res.mask),
+                                          nn.serialize_network(res.student))
+        assert len(set(written.values())) == 1
+
     def test_monotone_sparsity_and_argmin(self):
         net = tiny_teacher(4)
         probe = tiny_probe(48)

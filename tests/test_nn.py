@@ -320,6 +320,68 @@ class TestConvPoolOracle:
         np.testing.assert_allclose(gx, gx_ref, rtol=1e-12, atol=0.0)
 
 
+class TestPrebuiltCols:
+    """`Conv2D.apply(x, cols)` with prebuilt im2col rows gives the bits of the
+    per-call path, outputs and gradients alike."""
+
+    @staticmethod
+    def assert_paths_equal(layer, x, cols, rng):
+        y, ctx = layer.apply(x)
+        yc, ctxc = layer.apply(x, cols)
+        assert bits_equal(yc, y)
+        g = rng.normal(size=y.shape)
+        for need_input in (True, False):
+            gx, (gk, gb) = layer.grads(ctx, g, need_input)
+            gxc, (gkc, gbc) = layer.grads(ctxc, g, need_input)
+            assert (gxc is None) == (gx is None) == (not need_input)
+            if need_input:
+                assert bits_equal(gxc, gx)
+            assert bits_equal(gkc, gk) and bits_equal(gbc, gb)
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("padding", ["same", "valid"])
+    def test_bits_equal_per_call_im2col(self, stride, padding, rng):
+        layer = Conv2D(rng.normal(size=(3, 2, 2, 4)), rng.normal(size=4), stride, padding)
+        x = rng.normal(size=(3, 7, 6, 2))
+        self.assert_paths_equal(layer, x, layer.im2col(x), rng)
+
+    def test_a_batch_of_several_slices(self, rng):
+        layer = Conv2D(rng.normal(size=(3, 3, 1, 16)), rng.normal(size=16), 1, "same")
+        x = rng.normal(size=(50, 10, 10, 1))  # 5,000 rows: slices of 40 items
+        assert x.shape[0] * 100 > nn.IM2COL_ROWS
+        self.assert_paths_equal(layer, x, layer.im2col(x), rng)
+
+    @pytest.mark.parametrize("lo,hi", [(30, 75), (39, 41), (0, 41), (79, 100)])
+    def test_item_ranges_take_their_rows_of_the_whole_matrix(self, lo, hi, rng):
+        # 100 pixels an item: the whole matrix's slices end at items 40 and 80
+        layer = Conv2D(rng.normal(size=(3, 3, 2, 5)), rng.normal(size=5), 1, "same")
+        x = rng.normal(size=(100, 10, 10, 2))
+        cols = layer.im2col(x)
+        assert nn._batch_slices(100, 100)[:2] == [(0, 40), (40, 80)]
+        self.assert_paths_equal(layer, x[lo:hi], cols[lo * 100:hi * 100], rng)
+
+    def test_rows_that_do_not_match_are_refused(self, rng):
+        layer = Conv2D(rng.normal(size=(3, 3, 1, 2)), np.zeros(2))
+        x = rng.normal(size=(4, 5, 5, 1))
+        with pytest.raises(ShapeError, match="prebuilt im2col rows"):
+            layer.apply(x, layer.im2col(x)[:-25])
+        net = small_net()
+        with pytest.raises(ShapeError, match="conv2d first layer"):
+            nn.forward(net, rng.normal(size=(2, 6)), np.zeros((2, 6)))
+
+    def test_forward_and_value_and_grads_pass_the_rows_to_layer_0(self, rng):
+        net = nn.build_network({"input_shape": [6, 6, 1], "layers": [
+            {"kind": "conv2d", "filters": 3, "stride": 2}, {"kind": "relu"},
+            {"kind": "flatten"}, {"kind": "dense", "units": 2}]}, 3)
+        x = rng.normal(size=(5, 6, 6, 1))
+        cols = net.layers[0].im2col(x)
+        assert bits_equal(nn.forward(net, x, cols), nn.forward(net, x))
+        target = rng.normal(size=(5, 2))
+        a = nn.value_and_grads(net, x, lambda out: nn.mse_loss(out, target))
+        b = nn.value_and_grads(net, x, lambda out: nn.mse_loss(out, target), cols)
+        assert a[0] == b[0] and all(map(bits_equal, a[1], b[1]))
+
+
 class TestSgd:
     def test_arithmetic(self):
         net = Network([Dense(np.array([[1.0]]), np.zeros(1))], (1,))
@@ -462,6 +524,15 @@ class TestSerialization:
         b = nn.serialize_network(small_net(seed=4))
         assert a == b
 
+    def test_a_serialization_error_leaves_no_file(self, tmp_path):
+        net = nn.build_network({"input_shape": [4, 4, 1], "layers": [
+            {"kind": "conv2d", "filters": 2, "kernel": 1}]}, 0)
+        net.layers[0].stride = 300  # past the u8 it is stored as
+        path = tmp_path / "model.devn"
+        with pytest.raises(Exception, match="255"):
+            nn.save_network(net, str(path))
+        assert not path.exists()
+
     def test_parameter_count(self):
         net = small_net()
         # 6*5 + 5 + 5*3 + 3
@@ -493,6 +564,20 @@ class TestBuildNetwork:
     def test_an_empty_architecture_is_refused(self, arch, match):
         with pytest.raises(ValueError, match=match):
             nn.build_network(arch, 0)
+
+    @pytest.mark.parametrize("entry,name", [
+        ({"kind": "conv2d", "filters": 2, "kernel": 1, "stride": 300}, "stride"),
+        ({"kind": "max_pool", "pool": 256}, "pool"),
+        ({"kind": "max_pool", "pool": 1, "stride": 256}, "stride"),
+    ])
+    def test_a_u8_hyperparameter_above_255_is_refused(self, entry, name):
+        arch = {"input_shape": [255, 255, 1], "layers": [entry]}
+        with pytest.raises(ValueError, match=rf"{name} must be an integer in \[1, 255\]"):
+            nn.build_network(arch, 0)
+        arch["layers"][0][name] = 255
+        net = nn.build_network(arch, 0)
+        assert nn.serialize_network(nn.deserialize_network(
+            nn.serialize_network(net))) == nn.serialize_network(net)
 
     def test_omitted_keys_take_the_constructor_defaults(self):
         net = nn.build_network({"input_shape": [6, 6, 1], "layers": [

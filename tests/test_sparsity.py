@@ -1,4 +1,5 @@
 import hashlib
+import struct
 
 import numpy as np
 import pytest
@@ -186,6 +187,14 @@ class TestMaskFiles:
         assert back.splits == mask.splits
         for i in mask.bits:
             np.testing.assert_array_equal(back.bits[i], mask.bits[i])
+
+    def test_a_serialization_error_leaves_no_file(self, tmp_path):
+        # the DEVM layer index is a u16
+        mask = SparsityMask({70_000: np.zeros(3, dtype=bool)}, {70_000: (3,)})
+        path = tmp_path / "m.devm"
+        with pytest.raises(struct.error):
+            sparsity.save_mask(mask, str(path))
+        assert not path.exists()
 
     def test_crc_detects_flip(self, tmp_path):
         net = two_layer_net()
