@@ -1,7 +1,8 @@
 """Sweep quantization schemes and bit widths on a sparsified model and print
 the accuracy / compression trade-off table.
 
-Expects the artifacts of run_blobs_pipeline.py (teacher, student, mask):
+Expects the artifacts of run_blobs_pipeline.py (teacher, student, mask) and
+the run.json it wrote beside them, whose data section gives the dataset:
 
     python scripts/sweep_quantization.py --workdir out/blobs_pipeline
 """
@@ -10,7 +11,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from devolve import datasets, nn, packing, quantize, sparsity
+from devolve import cli, nn, packing, quantize, sparsity
 
 
 def main() -> int:
@@ -18,12 +19,16 @@ def main() -> int:
     parser.add_argument("--workdir", default="out/blobs_pipeline")
     args = parser.parse_args()
     workdir = Path(args.workdir)
+    run = workdir / "run.json"
+    if not run.exists():
+        print(f"{run} not found: run scripts/run_blobs_pipeline.py --workdir "
+              f"{workdir} first", file=sys.stderr)
+        return 1
 
     student = nn.load_network(str(workdir / "student.devn"))
     teacher = nn.load_network(str(workdir / "teacher.devn"))
     mask = sparsity.load_mask(str(workdir / "mask.devm"))
-    ds = datasets.synthetic_dataset("blobs", 4096, 10, seed=7,
-                                    feature_dim=784, separation=10.0)
+    ds = cli._build_dataset(cli.load_config(str(run)), student.input_shape)
     acc_teacher = nn.accuracy(teacher, ds)
     acc_student = nn.accuracy(student, ds)
     print(f"teacher accuracy  {acc_teacher:.4f}")

@@ -400,15 +400,16 @@ def cmd_quantize(config: dict) -> int:
         dataset=dataset if dataset.labels is not None else None,
         teacher_outputs=teacher_outputs, probe=probe, div_spec=div_spec,
     )
-    nn.save_network(model.network, model_path)
     luts = {"layers": [
         {"layer": lq.layer, "scheme": lq.spec.scheme, "bits": lq.spec.bits,
          "rounding": lq.spec.rounding, "seed": lq.spec.seed,
          "levels": lq.spec.levels.tolist()}
         for lq in model.layers
     ]}
+    text = json.dumps(luts, sort_keys=True)  # first: a failure leaves no file behind
+    nn.save_network(model.network, model_path)
     with open(luts_path, "w") as f:
-        json.dump(luts, f, sort_keys=True)
+        f.write(text)
     for key in sorted(report):
         print(f"{key} {report[key]:.6f}")
     print(f"lut_count {len(model.layers)}")
@@ -430,8 +431,9 @@ def cmd_pack(config: dict) -> int:
         codes = quantize.quantize(qnet.layers[i].flat_params(), mask.layer_bits(i), spec)
         quants.append(quantize.LayerQuantization(i, spec, codes))
     packed = packing.pack_model(quantize.QuantizedModel(qnet, mask, quants))
+    data = packed.to_bytes()  # first: a failure leaves no file behind
     with open(path, "wb") as f:
-        f.write(packed.to_bytes())
+        f.write(data)
     report = packing.compression_report(qnet, packed)
     print(f"packed {path}")
     for line in report.lines():

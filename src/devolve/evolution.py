@@ -26,6 +26,7 @@ worker count.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -466,14 +467,16 @@ HISTORY_COLUMNS = {"cycle": int, "layer": int, "sparsity_before": float,
 def write_history(history: Sequence[CycleRecord], path: str):
     """Plot-ready CSV of per-cycle trial statistics; formatting is exact
     (repr round-trip), so identical runs produce identical bytes."""
+    text = io.StringIO(newline="")  # first: a failure leaves no file behind
+    writer = csv.writer(text)
+    writer.writerow(HISTORY_COLUMNS)
+    for r in history:
+        row = (r.cycle, r.layer, r.sparsity_before, r.sparsity_after,
+               r.trial_divergences.size, r.mean, r.std, r.best_divergence,
+               r.committed.size, r.retrain_divergence)
+        writer.writerow(repr(kind(v)) for kind, v in zip(HISTORY_COLUMNS.values(), row))
     with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(HISTORY_COLUMNS)
-        for r in history:
-            row = (r.cycle, r.layer, r.sparsity_before, r.sparsity_after,
-                   r.trial_divergences.size, r.mean, r.std, r.best_divergence,
-                   r.committed.size, r.retrain_divergence)
-            writer.writerow(repr(kind(v)) for kind, v in zip(HISTORY_COLUMNS.values(), row))
+        f.write(text.getvalue())
 
 
 def read_history(path: str) -> list[dict]:

@@ -16,7 +16,12 @@ Three level-placement schemes map weights to b-bit codes, b in BIT_RANGES:
   is Monge, so each level's argmins over the dense cost matrix (O(cells^2)
   memory) come from a monotone search in O(cells^1.5) time rather than a full
   O(cells^2) scan. A Levenberg-Marquardt-damped Newton polish on the balance
-  system then settles the levels off the grid.
+  system then settles the levels off the grid. It evaluates only trial tables
+  that can change its outcome: one bytewise equal to the current table (its
+  damped step underflowed) is rejected unevaluated, and the balance is
+  computed only when the error is within the 1e-13 acceptance band. The
+  polish hands back the residual of the table it keeps, and that is the value
+  the convergence gate reads.
 
 Rounding is nearest (ties to the lower level) or stochastic (round up with
 probability proportional to the distance from the lower level; unbiased in
@@ -131,9 +136,6 @@ class Density:
         j = np.clip(np.searchsorted(nodes, w, side="right") - 1, 0, nodes.size - 2)
         return self._cum[j] + (w - nodes[j]) * (heights[j] + self.pdf_array(w)) / 2.0
 
-    def mass(self, a, b) -> np.ndarray:
-        return self.mass_to(b) - self.mass_to(a)
-
 
 def uniform_density(lo: float, hi: float, bins: int = 16) -> Density:
     edges = np.linspace(lo, hi, bins + 1)
@@ -176,9 +178,9 @@ def mass_balance(levels: np.ndarray, density: Density) -> np.ndarray:
     [level, right midpoint]. Zero everywhere exactly when the level set is a
     stationary point of the rounding-error integral."""
     levels = np.asarray(levels, dtype=np.float64)
-    mids = (levels[:-1] + levels[1:]) / 2.0
-    inner = levels[1:-1]
-    return density.mass(mids[:-1], inner) - density.mass(inner, mids[1:])
+    to_mid = density.mass_to((levels[:-1] + levels[1:]) / 2.0)
+    to_level = density.mass_to(levels[1:-1])
+    return (to_level - to_mid[:-1]) - (to_mid[1:] - to_level)
 
 
 # Worst accepted half-mass imbalance, as a fraction of the mean region mass.
@@ -226,7 +228,9 @@ def _dp_seed(density: Density, n_levels: int) -> np.ndarray:
     over full rows at every isqrt(cells)-th point of its feasible band, and
     every other point searches only the window between its two neighbouring
     samples' argmins: O(cells^1.5) per level instead of O(cells^2), over one
-    dense (cells+1)^2 cost matrix. Ties keep np.argmin's first index."""
+    dense (cells+1)^2 cost matrix. A sample's row is scanned only over the
+    columns where the previous level is reachable. Ties keep np.argmin's first
+    index."""
     cells = max(SEED_GRID_CELLS, 3 * n_levels)
     grid = _sqrt_quantiles(density, cells + 1)
     centres = (grid[:-1] + grid[1:]) / 2.0
@@ -245,9 +249,10 @@ def _dp_seed(density: Density, n_levels: int) -> np.ndarray:
         j = np.arange(top, end)[:, None]
         i = np.arange(end - 1)
         s = np.searchsorted(centres, (grid[i] + grid[j]) / 2.0, side="right")
+        m_s, mc_s = cum_m.take(s), cum_mc.take(s)
         cost[top:end, :end - 1] = np.where(
-            j > i, (cum_mc[s] - cum_mc[i]) - grid[i] * (cum_m[s] - cum_m[i])
-            + grid[j] * (cum_m[j] - cum_m[s]) - (cum_mc[j] - cum_mc[s]), np.inf)
+            j > i, (mc_s - cum_mc[i]) - grid[i] * (m_s - cum_m[i])
+            + grid[j] * (cum_m[j] - m_s) - (cum_mc[j] - mc_s), np.inf)
     reach = cost[:, 0].copy()  # least error reaching each grid point with one gap
     back = np.empty((n_levels - 2, cells + 1), dtype=np.intp)
     # Iteration k places level k+2 (level 0 is grid point 0). With n-3-k
@@ -259,20 +264,27 @@ def _dp_seed(density: Density, n_levels: int) -> np.ndarray:
     rest = np.setdiff1d(np.arange(band), picks, assume_unique=True)
     gap = np.searchsorted(picks, rest)
     rows = np.arange(picks.size)
+    flat_cost = cost.ravel()
     for k in range(n_levels - 2):
         p, r = picks + k + 1, rest + k + 1
-        total = cost[p] + reach
+        # a sample row's total can be finite only on columns k+1 .. k+band-1
+        # (reach is inf below them, the row's cost from the row's own point
+        # on), so rows scan only there; a row with no finite entry keeps
+        # argmin 0, as a full scan gives
+        total = cost[p, k + 1:k + band] + reach[k + 1:k + band]
         arg = np.argmin(total, axis=1)
-        back[k, p] = arg
+        found = total[rows, arg]
+        arg += k + 1
+        back[k, p] = np.where(found < np.inf, arg, 0)
         nxt = np.full(cells + 1, np.inf)
-        nxt[p] = total[rows, arg]
+        nxt[p] = found
         # first argmin between the two samples' argmins, taken in either
         # order: under ties the first-index argmin need not be monotone
         left = np.minimum(arg[gap - 1], arg[gap])
         width = np.maximum(arg[gap - 1], arg[gap]) - left + 1
         starts = np.cumsum(width) - width
         pred = np.arange(starts[-1] + width[-1]) - np.repeat(starts - left, width)
-        vals = cost[np.repeat(r, width), pred] + reach[pred]
+        vals = flat_cost.take(np.repeat(r * (cells + 1), width) + pred) + reach.take(pred)
         best = np.minimum.reduceat(vals, starts)
         hit = np.where(vals == np.repeat(best, width), pred, cells + 1)
         back[k, r] = np.minimum.reduceat(hit, starts)
@@ -301,13 +313,19 @@ def _thomas(off: np.ndarray, diag: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return np.array(d)
 
 
-def _polish(levels: np.ndarray, density: Density) -> np.ndarray:
+def _polish(levels: np.ndarray, density: Density) -> tuple[np.ndarray, float]:
     """Levenberg-Marquardt-damped Newton on mass_balance, which is the
     gradient of the error integral; its tridiagonal Jacobian is the Hessian,
     indefinite near density valleys, hence the damping. A step is kept when
     it lowers the error, or holds it within 1e-13 relative while shrinking
     max|F| (near the optimum the error is flat to rounding and only the
-    residual still resolves the last digits)."""
+    residual still resolves the last digits). Returns the table and its
+    max|F|.
+
+    Every increasing trial table counts toward POLISH_MAX_EVALS, but only
+    what can change the outcome is evaluated: a trial bytewise equal to the
+    current table (the damped step underflowed) is rejected unevaluated, and
+    mass_balance runs only when the error lies within the 1e-13 band."""
     x = levels.copy()
     F = mass_balance(x, density)
     res = float(np.abs(F).max())
@@ -326,15 +344,17 @@ def _polish(levels: np.ndarray, density: Density) -> np.ndarray:
                 trial[1:-1] = np.nan
             if (np.diff(trial) > 0).all():
                 evals += 1
-                t_err = quantization_error(trial, density)
-                t_F = mass_balance(trial, density)
-                t_res = float(np.abs(t_F).max())
-                if t_err < err or (t_err <= err * (1.0 + 1e-13) and t_res < res):
-                    x, F, res, err = trial, t_F, t_res, t_err
-                    damping /= 10.0
-                    break
+                if trial.tobytes() != x.tobytes():
+                    t_err = quantization_error(trial, density)
+                    if t_err <= err * (1.0 + 1e-13):
+                        t_F = mass_balance(trial, density)
+                        t_res = float(np.abs(t_F).max())
+                        if t_err < err or t_res < res:
+                            x, F, res, err = trial, t_F, t_res, t_err
+                            damping /= 10.0
+                            break
             damping *= 10.0
-    return x
+    return x, res
 
 
 def solve_levels(density: Density, n_levels: int) -> np.ndarray:
@@ -348,9 +368,8 @@ def solve_levels(density: Density, n_levels: int) -> np.ndarray:
     lo, hi = density.support
     if n_levels == 2:
         return np.array([lo, hi])
-    levels = _polish(_dp_seed(density, n_levels), density)
+    levels, res = _polish(_dp_seed(density, n_levels), density)
     gate = BALANCE_TOL_RATIO / (n_levels - 1)
-    res = float(np.abs(mass_balance(levels, density)).max())
     if not res <= gate:
         raise LevelSolverError(
             f"half-mass balance did not converge (residual {res:.3e}, "
@@ -411,7 +430,8 @@ def quantization_error(levels: np.ndarray, density: Density) -> float:
 
     left, right = pts[:, :-1], pts[:, 1:]
     mid = (left + right) / 2.0
-    seg = (right - left) / 6.0 * (f(left) + 4.0 * f(mid) + f(right))
+    f_pts = f(pts)  # each panel end once; f is elementwise, so slices keep its bits
+    seg = (right - left) / 6.0 * (f_pts[:, :-1] + 4.0 * f(mid) + f_pts[:, 1:])
     return float(seg.sum())
 
 

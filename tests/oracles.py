@@ -4,8 +4,10 @@ Nothing here may call the code path it validates: gradients come from central
 finite differences, convolution and pooling from direct loops over output
 pixels, a density's floor-crossing nodes from a loop over its segments,
 quantizer optima come from exhaustive grid search or a grid dynamic program
-with closed-form integrals over the piecewise-linear density, and canonical
-Huffman payloads are walked one bit at a time.
+with closed-form integrals over the piecewise-linear density, the rounding
+error integral from a Simpson rule that evaluates its integrand separately at
+each panel's three points, and canonical Huffman payloads are walked one bit
+at a time.
 """
 
 import numpy as np
@@ -174,6 +176,32 @@ class ExactDensityIntegrals:
     def total_error(self, levels):
         levels = np.asarray(levels, dtype=np.float64)
         return float(np.sum(self.gap_cost(levels[:-1], levels[1:])))
+
+
+def simpson_error(levels, density):
+    """Expected |w - nearest level| under the density, by 12 Simpson panels per
+    interval between consecutive knots (density breakpoints, levels and
+    rounding boundaries), with the integrand evaluated separately at the left,
+    middle and right points of every panel."""
+    levels = np.asarray(levels, dtype=np.float64)
+    lo, hi = density.support
+    mids = (levels[:-1] + levels[1:]) / 2.0
+    knots = np.concatenate((density.breakpoints(), levels, mids))
+    knots = np.unique(np.clip(knots, lo, hi))
+    starts, widths = knots[:-1], np.diff(knots)
+    m = 12
+    t = np.arange(m + 1) / m
+    pts = starts[:, None] + widths[:, None] * t[None, :]
+
+    def f(w):
+        idx = np.searchsorted(mids, w, side="left")
+        dist = np.abs(w - levels[idx])
+        return dist * density.pdf_array(w)
+
+    left, right = pts[:, :-1], pts[:, 1:]
+    mid = (left + right) / 2.0
+    seg = (right - left) / 6.0 * (f(left) + 4.0 * f(mid) + f(right))
+    return float(seg.sum())
 
 
 def brute_force_two_bit(density, pitch=1e-3):

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from devolve import cli, datasets, evolution, nn, quantize, sparsity
+from devolve import cli, datasets, evolution, nn, packing, quantize, sparsity
 from devolve.cli import (ConfigError, _evolution_config, apply_overrides, load_config,
                          main, validate_config)
 
@@ -356,6 +356,36 @@ class TestExitCodes:
         assert main(["quantize", "--config", str(path)]) == 0
         assert main(["pack", "--config", str(path)]) == 2
         assert "layer 0" in capsys.readouterr().err
+        assert not (tmp_path / "model.devp").exists()
+
+    def test_a_luts_serialization_error_leaves_no_output(self, tmp_path, monkeypatch,
+                                                         capsys, pipeline_files):
+        for name in ("teacher.devn", "student.devn", "mask.devm"):
+            (tmp_path / name).write_bytes(pipeline_files[name])
+        path, _ = pipeline_config(tmp_path)
+        solve = quantize.quantize_network
+
+        def unserializable_seed(*args, **kwargs):
+            model, report = solve(*args, **kwargs)
+            model.layers[-1].spec.seed = np.uint64(model.layers[-1].spec.seed)
+            return model, report
+        monkeypatch.setattr(quantize, "quantize_network", unserializable_seed)
+        assert main(["quantize", "--config", str(path)]) == 2
+        assert "JSON serializable" in capsys.readouterr().err
+        assert not (tmp_path / "luts.json").exists()
+        assert not (tmp_path / "quantized.devn").exists()
+
+    def test_a_container_serialization_error_leaves_no_file(self, tmp_path, monkeypatch,
+                                                            capsys, pipeline_files):
+        for name, data in pipeline_files.items():
+            (tmp_path / name).write_bytes(data)
+        path, _ = pipeline_config(tmp_path)
+
+        def fail(self):
+            raise RuntimeError("injected serialization error")
+        monkeypatch.setattr(packing.PackedModel, "to_bytes", fail)
+        assert main(["pack", "--config", str(path)]) == 2
+        assert "injected" in capsys.readouterr().err
         assert not (tmp_path / "model.devp").exists()
 
     def test_blown_up_train_writes_no_model(self, tmp_path, capsys):

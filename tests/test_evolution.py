@@ -564,6 +564,14 @@ class TestHistoryCsv:
         write_history(history, str(p2))
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_a_formatting_error_leaves_no_file(self, tmp_path):
+        history = self._history()
+        history[-1].retrain_divergence = "not a number"  # float() fails on the last row
+        path = tmp_path / "h.csv"
+        with pytest.raises(ValueError, match="could not convert"):
+            write_history(history, str(path))
+        assert not path.exists()
+
     def test_empty_history_read_errors(self, tmp_path):
         path = tmp_path / "h.csv"
         write_history([], str(path))

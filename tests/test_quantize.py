@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -12,7 +13,8 @@ from devolve.quantize import (Density, QuantizationSpec, build_spec,
 
 from helpers import bimodal_density, sampled_density, tent_density
 from oracles import (ExactDensityIntegrals, brute_force_three_levels,
-                     brute_force_two_bit, density_nodes_loop, grid_dp_error)
+                     brute_force_two_bit, density_nodes_loop, grid_dp_error,
+                     simpson_error)
 
 
 class TestUniformLevels:
@@ -231,6 +233,14 @@ SEED_DENSITIES = {"tent": tent_density, "bimodal": bimodal_density,
                   **{f"sampled_{s}": (lambda s=s: sampled_density(s)) for s in range(5)}}
 
 
+# densities whose costs tie often: few distinct values, most bins empty
+TIED_DENSITIES = {
+    "half_integers": lambda rng: rng.integers(-5, 5, 2000) / 2.0,
+    "zeros_and_outliers": lambda rng: np.r_[np.zeros(1000), rng.normal(size=3)],
+    "cubed_exponentials": lambda rng: rng.exponential(size=2000) ** 3,
+}
+
+
 class TestSeedSearch:
     """The monotone search must return the dense DP's seed bit for bit; the
     first-index argmin is not monotone under ties, so this pins it."""
@@ -242,10 +252,117 @@ class TestSeedSearch:
             np.testing.assert_array_equal(q._dp_seed(d, 2 ** bits),
                                           dense_dp_seed(d, 2 ** bits), err_msg=str(bits))
 
+    @pytest.mark.parametrize("name", [
+        "cubed_exponentials", "half_integers",
+        # A known fault, kept visible: totals that tie to within 1-3 ulps break
+        # the Monge bound by rounding, so some rows' first argmin lies outside
+        # their window. On this draw that changes the 7- and 8-bit seeds.
+        pytest.param("zeros_and_outliers", marks=pytest.mark.xfail(
+            strict=True, reason="rounding-level near-ties escape the windows"))])
+    def test_equals_dense_dp_on_tied_costs(self, name):
+        d = Density.from_samples(TIED_DENSITIES[name](np.random.default_rng(11)))
+        for bits in (7, 8):
+            np.testing.assert_array_equal(q._dp_seed(d, 2 ** bits),
+                                          dense_dp_seed(d, 2 ** bits), err_msg=str(bits))
+
     @pytest.mark.slow
     def test_equals_dense_dp_nine_bits(self):
         d = sampled_density(0)
         np.testing.assert_array_equal(q._dp_seed(d, 512), dense_dp_seed(d, 512))
+
+
+# sha256 of optimal_levels(d, bits).tobytes() for bits 1..8: the solver's
+# speedups keep every table's bits
+SEED_TABLE_SHA256 = {
+    "bimodal": (
+        "723f1c3eac1d2c306857db9f4466b219af88d13fb056836892154fcd058c55d5",
+        "656b05942d6637dab35a8c8babc94475ac108e58fba0ccb64ff18c7067ac11d2",
+        "b22d86d60a0d5708b77a724a317dd40e2a8b06085fb804c8db43b1271b955c20",
+        "2615053cb245d4fa91d22eedcc4f7cf6f5456c81bd73f9535e6456de99b8b210",
+        "614fa892c086622f1af9f2e9dfd897ee2b7e15a080092c87b23f9d94edf1c890",
+        "9fd22a3be8f5a2fec076299ca9b806c99ecb67901f0ab89615bedb6bc64ee285",
+        "e3ecf3c054c383c3478774072fca169a8d1768bc9d7812ff15747a88972f6290",
+        "d952285fcbbd56714e228e909371abd692ac3adce945e51ef69e5ac3fc19cdcd",
+    ),
+    "bimodal_deep": (
+        "723f1c3eac1d2c306857db9f4466b219af88d13fb056836892154fcd058c55d5",
+        "d379641f8c7e2e359594dca924c77323fc0e99ae7a75d24549bd862959c336f7",
+        "bc32869c548017cee8823ced6d7bbdfcba985eeb31ea2ea95d90e46759026fb2",
+        "9fc84e1a3c874f019f8f4852ff616ed6e5377d9bc1043e286e174de884d2589b",
+        "81633963808a04178af955f8b8bd6b545eedda9331e2ea8bf19f949082110f5b",
+        "593a10b3f905196288f9380fb81c6d4a303947f6962b22bcafb3e127faa47b76",
+        "d75b3251d288c64c4ea55f58ac52f592171bb4839be3a97c24e2e554dd553a3c",
+        "4370503635fec2f8a8a92b9c7132ff66e23aa40f0749f854137448ea74ec74d6",
+    ),
+    "sampled_0": (
+        "1d7d81a67288fff65a3f7ba6108f2180bf04667535052965cfb575e2ff071504",
+        "882cce40208a3948c2d7cb05150371ed9abd7d29650cccd3c2afbf8fb8269da9",
+        "03e5091cd73760dd98a8ba52875847f081132ffc4362724e22eb0527ff896920",
+        "2ba297d11981618b082e52af92f34a5ca71fcfbb0669f09d32b0cbfcbd3dcf6a",
+        "a9609ea28f64287da34b9db3fa142c863e41d604b34e5bcf59f134e51605206c",
+        "5030ccff655acaed9135f2a9d965d7124fa79ec1252fcf47e762d55319b9ffd7",
+        "8511bfff7cb31c0a7e7b2973a8621851488486bc9136541ec2bd86a15119df45",
+        "e694380e63a1f41c268e7eac09345f4d99bd82e99d9953c49b2658b5830e26cd",
+    ),
+    "sampled_1": (
+        "db5c136d57b3301ef9ccb71ffe2c96f8548e22fe243a814352c6dc3fc5b861a4",
+        "bf5d667e7165c2e7af2fc5383075bd99b3aeeee3e990929a43db6bc943aeaee7",
+        "125d4ed8f06209317c3c84e3f75ae66e6158c44192bca832186420186c2a9a73",
+        "c883571116fa067441932e732e0153f127e4748811e9fe2ab675723230c97168",
+        "2f5e6110a58a3b92f2cf16ea75bc5c401606e57b855005c41e6e2c3e8c4af6f1",
+        "c74728e6ef270e2802461cd2b2c6a77592f2251042b9a785c68d0491880ae844",
+        "a9cb830fa20609f568ecf04e9473ee3d8ebbd234690d8efad6cd2c0c614ba828",
+        "3fe19c9f0eb013cd3f40fc7e5144a64fa8cc57994dd42549815c3e062ded5f0f",
+    ),
+    "sampled_2": (
+        "3ac5f25ee1e14ee8d5bbead8b4f1a4c9704bc499f15563ec442ba25656924265",
+        "9acb786158a110b8716b0c1630eb93c584a597e7193cc806f81bf7ca8d656a0f",
+        "7820dc4144d453d38a6236f28c98e95b5e128bab6855fd4cd6ea614f6f843ea2",
+        "a8b46f5c1dbd893f2652215fbea3d13cb163be1c087db8efc62848e62099a3a4",
+        "ff063f5cfe6b696543cb9fab1272eed5bfd41132b7555edd4ea01fb05f8eae79",
+        "9a02dda2db6db63d6ad9631dd36fc8d2332efe680016c4c8f1d4039f895b6971",
+        "0f38ccd8ddd49feeb5763ac81c0489b91288fa5a88f0c316dbaa38386da53baf",
+        "97f27171b9ff8f31c1d894cf3e80b5e320312b99d287ea71478e3d9f405a47c2",
+    ),
+    "sampled_3": (
+        "c994145a4bb1ec22b08fc50e70ddf66b3c5590cb9dd2a3bdfe4c7ee9977ddb80",
+        "a6b9bacf10d965348544ee3f2402a3b4194a1be4bfe393d0e600a2301a3aa998",
+        "924308adf1da04d12fe4cde6c1038e156696c3c07d966e64358c2ebd0d7c2c19",
+        "625fa4829dbfa55f4163b5af24e2ad0aa8e16f9f13adfcb54a4742c6b74ee04c",
+        "08fd67d11e106512082c6d56ca252782ea27a0af0c6daa80a0c270ebf74c456c",
+        "a9daa77b5a465e556d02daedb8a68ac3987068d3ef55d1967d6255c5edd44f4f",
+        "9ab533fef2264e37d4f940615097e10afacc3a4c6dd79f287408554f5c03cda8",
+        "ddc34d83a08caad84a3e5d9ffb7c430bc58083fe85f3fea3b1eadd9add7a20de",
+    ),
+    "sampled_4": (
+        "ca4cc3c8fe6a09c8540e8daeb53f880c76488a418a3c49d9b872fbccc6939ea6",
+        "22008588bfdf15d63b3cc3a3339294e491b026d4b68e045fe628f2b0b34b00fd",
+        "73e37f67a915d2b63edb5460cc2e0b827bf6bae0b2f1784a8de10ad8d1cee940",
+        "19434ab113a1131982d2494ae65d49ddd9ddd7fa9513e08d276382d6fc3b93b9",
+        "5cb4b8e55dcf541abf6a7167a4db1c83484138b43defe94ea9f20e7efe5c1ae7",
+        "08e251fca2c31e32d2f7280ba28f6c0cc47343eaed5a5fe9178a8aed1d978e9c",
+        "bb44468cf051d99b39afe0413bd79cf5521bc84af9f9f2960b762c3234af5c0c",
+        "71b0b6ef733373e8874941e73bc97ad42c01850508e53a1d8a23d89c1ea4b0c3",
+    ),
+    "tent": (
+        "fc62429c3e69001d65972cdeb94fb9aa18a7d9c16bc449e1e474e7e41bb95a7d",
+        "4bfa1de0465c2608576c6710c74d2b99b97c6da7decca2b2999fa32b88b72757",
+        "2b30ddc30613a5ce4ea1b1813b88f7674af10a3a79f42a868df960034d89c788",
+        "c129c7c6b6b6f50d4acc80411b2512634d718c8ccd31dcf92be47fa721a27ff1",
+        "4a6f4e0227f42363209b2f8848d07540e7531fd5901ad4d5ea16ee93c6052d09",
+        "ad44e18abd3a5b59c24f116193145a16dbeba9a5a23b13b1f449e8432a63f922",
+        "4d595b43af24c02c68ec48608acab30073f876e5c08947eff228e45eac42d5ed",
+        "c9af2b79d6f69ab56bbfd924a5ce39d45b329b544c2938c83159514ee804e2e5",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SEED_DENSITIES))
+def test_tables_keep_their_bits(name):
+    d = SEED_DENSITIES[name]()
+    digests = tuple(hashlib.sha256(optimal_levels(d, bits).tobytes()).hexdigest()
+                    for bits in range(1, 9))
+    assert digests == SEED_TABLE_SHA256[name]
 
 
 class TestQuantizationError:
@@ -270,6 +387,28 @@ class TestQuantizationError:
         d = tent_density()
         e = quantization_error(np.linspace(0, 1, 4097), d)
         assert e < 1e-4
+
+    def test_bitwise_equal_to_simpson_oracle(self):
+        names = sorted(SEED_DENSITIES)
+        for case in range(200):
+            d = SEED_DENSITIES[names[case % len(names)]]()
+            lo, hi = d.support
+            rng = np.random.default_rng(case)
+            # levels inside the support, with or without its ends, or past them
+            pad = (hi - lo) * rng.choice([0.0, 0.1])
+            levels = np.unique(rng.uniform(lo - pad, hi + pad, int(rng.integers(2, 300))))
+            if pad == 0.0 and case % 3:
+                levels = np.unique(np.r_[lo, levels, hi])
+            assert quantization_error(levels, d) == simpson_error(levels, d), case
+
+    def test_bitwise_equal_to_simpson_oracle_at_breakpoints(self):
+        for name in sorted(SEED_DENSITIES):
+            d = SEED_DENSITIES[name]()
+            nodes = d.breakpoints()
+            # every node, every other node (rounding boundaries near the nodes
+            # between), and a sparse subset with the support's ends
+            for levels in (nodes, nodes[::2], nodes[::7], np.r_[nodes[:-1:5], nodes[-1]]):
+                assert quantization_error(levels, d) == simpson_error(levels, d), name
 
     def test_matches_exact_oracle_integrals(self, rng):
         d = sampled_density(3)
