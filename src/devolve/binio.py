@@ -1,9 +1,12 @@
 """`Reader` and its mirror `Writer` for the binary formats (DEVN, DEVM, DEVP,
 IDX). Every read is checked against the buffer's end before allocating, and a
-failed read raises the caller's `FormatError` subclass with its byte offset."""
+failed read raises the caller's `FormatError` subclass with its byte offset.
+Every output file is written whole or not at all by `write_file`."""
 
 from __future__ import annotations
 
+import os
+import secrets
 import struct
 import zlib
 from contextlib import contextmanager
@@ -121,3 +124,18 @@ def guard(error: type[FormatError]):
         raise
     except (ValueError, OverflowError, IndexError) as e:
         raise error(str(e)) from e
+
+
+def write_file(path, data: bytes):
+    """Put `data` at `path` whole or not at all: a new file in the same
+    directory, with `open`'s mode (0666 less the umask), replaces `path`. On
+    failure it is removed, and whatever `path` held stays."""
+    tmp = f"{path}.{secrets.token_hex(4)}.tmp"  # an error on it names the path
+    f = open(tmp, "xb")
+    try:
+        with f:
+            f.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise

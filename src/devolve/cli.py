@@ -28,7 +28,7 @@ from typing import Any, Optional
 
 import numpy as np
 
-from . import datasets, evolution, nn, packing, quantize, sparsity
+from . import binio, datasets, evolution, nn, packing, quantize, sparsity
 
 
 class ConfigError(ValueError):
@@ -408,8 +408,7 @@ def cmd_quantize(config: dict) -> int:
     ]}
     text = json.dumps(luts, sort_keys=True)  # first: a failure leaves no file behind
     nn.save_network(model.network, model_path)
-    with open(luts_path, "w") as f:
-        f.write(text)
+    binio.write_file(luts_path, text.encode())
     for key in sorted(report):
         print(f"{key} {report[key]:.6f}")
     print(f"lut_count {len(model.layers)}")
@@ -431,9 +430,7 @@ def cmd_pack(config: dict) -> int:
         codes = quantize.quantize(qnet.layers[i].flat_params(), mask.layer_bits(i), spec)
         quants.append(quantize.LayerQuantization(i, spec, codes))
     packed = packing.pack_model(quantize.QuantizedModel(qnet, mask, quants))
-    data = packed.to_bytes()  # first: a failure leaves no file behind
-    with open(path, "wb") as f:
-        f.write(data)
+    binio.write_file(path, packed.to_bytes())
     report = packing.compression_report(qnet, packed)
     print(f"packed {path}")
     for line in report.lines():

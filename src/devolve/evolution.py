@@ -12,11 +12,11 @@ that `retrain` owns, with masked gradients zeroed so pruned positions stay
 zeroed), so effective steps shrink as a layer fills up and the search gets
 more cautious at high sparsity.
 
-When layer 0 is a conv, `run` builds the probe's im2col matrix for it once
-(if it fits in `nn.IM2COL_KEEP_BYTES`, 64 MiB) and every conv call on the
-probe of that run reads its rows: the teacher outputs, each sweep's front,
-each trial on layer 0 and each retraining step. The outputs have the same
-bits as per-call im2col, which a larger matrix falls back to.
+When layer 0 is a conv, `run` evolves its `patch_form` instead: the probe
+becomes its im2col patches, built once, and layer 0 a 1x1 conv on them, so
+the teacher outputs, each sweep's front, each trial on layer 0 and each
+retraining step read the same rows without building them. The outputs have
+the same bits, and the student gets layer 0's own shape back.
 
 Every trial draws from its own RNG stream keyed by (master_seed, cycle, layer,
 trial), so histories replay bit-identically regardless of evaluation order or
@@ -26,6 +26,7 @@ worker count.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import math
 from concurrent.futures import ThreadPoolExecutor
@@ -35,9 +36,16 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import nn
+from .binio import write_file
 from .datasets import ProbeSet
 from .nn import Network
 from .sparsity import CandidateSet, SparsityMask, apply_mask, merge, prunable_indices, sparsity
+
+# The largest probe patch tensor, in bytes, that `patch_form` builds: a
+# 1,024-item 28x28 probe under a 3x3 kernel needs 58 MB per input channel, so
+# one channel fits and three do not. Above it, every conv call on the probe
+# builds its own im2col slices.
+IM2COL_KEEP_BYTES = 64 << 20
 
 
 @dataclass
@@ -230,46 +238,38 @@ def propose_candidates(net: Network, layer: int, cfg: EvolutionConfig,
 
 def evaluate_candidate(student: Network, cand: CandidateSet,
                        teacher_outputs: np.ndarray, inputs: np.ndarray,
-                       spec: DivergenceSpec, cols: Optional[np.ndarray] = None) -> float:
+                       spec: DivergenceSpec) -> float:
     """Divergence of `student` on `inputs` with the candidate's indices
     zeroed; nothing else is masked. The student is never modified: the
-    candidate's layer gets fresh tensors on a shallow copy. `cols` is as in
-    `nn.forward`."""
+    candidate's layer gets fresh tensors on a shallow copy."""
     layer = student.layers[cand.layer]
     flat = layer.flat_params()
     flat[cand.indices] = 0.0
     scratch = student.replace_layer(cand.layer, layer.with_flat_params(flat))
-    return divergence(nn.forward(scratch, inputs, cols), teacher_outputs, spec)
+    return divergence(nn.forward(scratch, inputs), teacher_outputs, spec)
 
 
 def evaluate_trials(student: Network, mask: SparsityMask,
                     candidates: Sequence[CandidateSet],
                     teacher_outputs: np.ndarray, probe: ProbeSet, spec: DivergenceSpec,
-                    workers: int = 1, cols: Optional[np.ndarray] = None) -> np.ndarray:
+                    workers: int = 1) -> np.ndarray:
     """Divergence per candidate, each zeroed on top of the mask; parallel
     execution is bit-identical to sequential because trials are independent
     and results keep trial order.
 
     The mask is applied once, and the layers in front of the first candidate
     layer run once on the probe: every trial evaluates only the tail of the
-    network from that layer on, with its candidate re-indexed to the tail.
-    `cols`, layer 0's im2col matrix of the probe that `run` builds once per
-    run (see `probe_cols`), goes to whichever call runs layer 0: the front,
-    or every trial when the front is empty."""
+    network from that layer on, with its candidate re-indexed to the tail."""
     masked = apply_mask(student, mask)
     front = min((c.layer for c in candidates), default=0)
-    if front:
-        acts = nn.forward(Network(masked.layers[:front], masked.input_shape),
-                          probe.inputs, cols)
-        cols = None
-    else:
-        acts = probe.inputs
+    acts = (nn.forward(Network(masked.layers[:front], masked.input_shape), probe.inputs)
+            if front else probe.inputs)
     tail = Network(masked.layers[front:], acts.shape[1:])
     tail_cands = ([CandidateSet(c.layer - front, c.indices) for c in candidates]
                   if front else candidates)
 
     def trial(cand):
-        return evaluate_candidate(tail, cand, teacher_outputs, acts, spec, cols)
+        return evaluate_candidate(tail, cand, teacher_outputs, acts, spec)
 
     if workers <= 1 or len(candidates) < 2:
         divs = [trial(c) for c in tail_cands]
@@ -305,20 +305,17 @@ def select_and_commit(cycle: int, layer: int, candidates: Sequence[CandidateSet]
 
 
 def retrain(student: Network, mask: SparsityMask, teacher_outputs: np.ndarray,
-            probe: ProbeSet, cfg: EvolutionConfig, spec: DivergenceSpec,
-            cols: Optional[np.ndarray] = None) -> Network:
+            probe: ProbeSet, cfg: EvolutionConfig, spec: DivergenceSpec) -> Network:
     """SGD on the divergence toward the teacher outputs; masked positions stay
     zero. Keeps the best parameters seen, so the result never diverges more
     than the input network, which is never modified. A step or epoch that goes
     non-finite ends the retraining (the next forward pass raises), and the best
-    network so far stands. `cols` is as in `evaluate_trials`; a batch of items
-    [lo, hi) takes its rows [lo*P, hi*P), P output pixels an item."""
+    network so far stands."""
     if cfg.retrain_epochs <= 0:
         return student
     inputs = probe.inputs
     n = inputs.shape[0]
     bs = min(cfg.retrain_batch_size, n)
-    per_item = 0 if cols is None else cols.shape[0] // n
     best_net = apply_mask(student, mask)
     net = best_net.copy()  # the one network stepped in place
     ones = Network([l.with_flat_params(np.ones(l.flat_params().size)) for l in net.layers],
@@ -326,19 +323,18 @@ def retrain(student: Network, mask: SparsityMask, teacher_outputs: np.ndarray,
     # 1.0 where a parameter survives, 0.0 where it is masked: masked gradients
     # are zero, so masked positions stay exactly 0.0 through every step
     keep = apply_mask(ones, mask).param_tensors()
-    best_div = divergence(nn.forward(net, inputs, cols), teacher_outputs, spec)
+    best_div = divergence(nn.forward(net, inputs), teacher_outputs, spec)
     try:
         for _ in range(cfg.retrain_epochs):
             for lo in range(0, n, bs):
                 hi = min(lo + bs, n)
                 target = teacher_outputs[lo:hi]
                 _, grads = nn.value_and_grads(
-                    net, inputs[lo:hi], lambda out: divergence_grad(out, target, spec),
-                    None if cols is None else cols[lo * per_item:hi * per_item])
+                    net, inputs[lo:hi], lambda out: divergence_grad(out, target, spec))
                 for g, k in zip(grads, keep):
                     g *= k
                 nn.sgd_step(net, grads, cfg.retrain_lr)
-            div = divergence(nn.forward(net, inputs, cols), teacher_outputs, spec)
+            div = divergence(nn.forward(net, inputs), teacher_outputs, spec)
             if not math.isfinite(div):
                 break
             if div < best_div:
@@ -349,18 +345,24 @@ def retrain(student: Network, mask: SparsityMask, teacher_outputs: np.ndarray,
     return best_net
 
 
-def probe_cols(net: Network, inputs: np.ndarray) -> Optional[np.ndarray]:
-    """Layer 0's im2col matrix of `inputs` when layer 0 is a conv and the
-    matrix fits in `nn.IM2COL_KEEP_BYTES`; otherwise None, and every conv call
-    builds its own rows."""
+def patch_form(net: Network, probe: ProbeSet) -> tuple[Network, ProbeSet]:
+    """When layer 0 is a conv and the probe's patch tensor fits in
+    `IM2COL_KEEP_BYTES`: `net` with layer 0 as a 1x1 stride-1 conv of the same
+    parameters in the same layer-flat layout, and the probe as its patches,
+    `im2col(inputs)` as (n, oh, ow, kh*kw*cin). The pair computes the bits
+    `net` computes on the probe, over the same GEMM rows and batch slices.
+    Otherwise the two come back untouched."""
     first = net.layers[0]
-    if not isinstance(first, nn.Conv2D):
-        return None
+    if not isinstance(first, nn.Conv2D) or probe.inputs.shape[1:] != net.input_shape:
+        return net, probe
     oh, ow, _ = first.out_shape(net.input_shape)
-    row_bytes = math.prod(first.kernel.shape[:3]) * 8
-    if inputs.shape[0] * oh * ow * row_bytes > nn.IM2COL_KEEP_BYTES:
-        return None
-    return first.im2col(inputs)
+    depth = math.prod(first.kernel.shape[:3])
+    if probe.size * oh * ow * depth * 8 > IM2COL_KEEP_BYTES:
+        return net, probe
+    patches = first.im2col(probe.inputs).reshape(probe.size, oh, ow, depth)
+    layer = nn.Conv2D(first.kernel.reshape(1, 1, depth, -1), first.bias, 1, "valid")
+    return (Network([layer, *net.layers[1:]], patches.shape[1:]),
+            dataclasses.replace(probe, inputs=patches))
 
 
 def run(teacher: Network, probe: ProbeSet, cfg: EvolutionConfig,
@@ -377,21 +379,21 @@ def run(teacher: Network, probe: ProbeSet, cfg: EvolutionConfig,
         spec = DivergenceSpec.whole_output(int(np.prod(teacher.output_shape)))
     scope = scope_layers(teacher, cfg)
 
-    cols = probe_cols(teacher, probe.inputs)
-    teacher_outputs = nn.forward(teacher, probe.inputs, cols)  # teacher is frozen
-    student = teacher.copy()
-    mask = SparsityMask.empty(teacher)
+    net, probe = patch_form(teacher, probe)
+    teacher_outputs = nn.forward(net, probe.inputs)  # teacher is frozen
+    student = net.copy()
+    mask = SparsityMask.empty(net)
     history: list[CycleRecord] = []
 
     def done(layer):
         return sparsity(mask, layer) >= cfg.target_for(layer)
 
     def saturated(layer):
-        pool = prunable_indices(teacher, layer, cfg.include_biases)
+        pool = prunable_indices(net, layer, cfg.include_biases)
         return bool(mask.layer_bits(layer)[pool].all())
 
     status = "target_reached"
-    final_div = divergence(nn.forward(student, probe.inputs, cols), teacher_outputs, spec)
+    final_div = divergence(nn.forward(student, probe.inputs), teacher_outputs, spec)
     for cycle in range(cfg.max_cycles):
         pending = [l for l in scope if not done(l)]
         if not pending:
@@ -405,12 +407,12 @@ def run(teacher: Network, probe: ProbeSet, cfg: EvolutionConfig,
         for layer in workable:
             candidates = propose_candidates(student, layer, cfg, cycle)
             divs = evaluate_trials(student, mask, candidates, teacher_outputs,
-                                   probe, spec, cfg.workers, cols)
+                                   probe, spec, cfg.workers)
             mask, record = select_and_commit(cycle, layer, candidates, divs, mask)
             student = apply_mask(student, mask)
             history.append(record)
-        student = retrain(student, mask, teacher_outputs, probe, cfg, spec, cols)
-        final_div = divergence(nn.forward(student, probe.inputs, cols), teacher_outputs, spec)
+        student = retrain(student, mask, teacher_outputs, probe, cfg, spec)
+        final_div = divergence(nn.forward(student, probe.inputs), teacher_outputs, spec)
         for i in range(snapshot[2], len(history)):
             history[i].retrain_divergence = final_div
         if cfg.divergence_budget is not None and final_div > cfg.divergence_budget:
@@ -420,6 +422,9 @@ def run(teacher: Network, probe: ProbeSet, cfg: EvolutionConfig,
             break
     else:
         status = "cycle_limit"
+    if net is not teacher:  # layer 0 in its own shape, stride and padding again
+        first = teacher.layers[0].with_flat_params(student.layers[0].flat_params())
+        student = Network([first, *student.layers[1:]], teacher.input_shape)
     return RunResult(student, mask, history, status, final_div)
 
 
@@ -467,7 +472,7 @@ HISTORY_COLUMNS = {"cycle": int, "layer": int, "sparsity_before": float,
 def write_history(history: Sequence[CycleRecord], path: str):
     """Plot-ready CSV of per-cycle trial statistics; formatting is exact
     (repr round-trip), so identical runs produce identical bytes."""
-    text = io.StringIO(newline="")  # first: a failure leaves no file behind
+    text = io.StringIO(newline="")
     writer = csv.writer(text)
     writer.writerow(HISTORY_COLUMNS)
     for r in history:
@@ -475,8 +480,7 @@ def write_history(history: Sequence[CycleRecord], path: str):
                r.trial_divergences.size, r.mean, r.std, r.best_divergence,
                r.committed.size, r.retrain_divergence)
         writer.writerow(repr(kind(v)) for kind, v in zip(HISTORY_COLUMNS.values(), row))
-    with open(path, "w", newline="") as f:
-        f.write(text.getvalue())
+    write_file(path, text.getvalue().encode())
 
 
 def read_history(path: str) -> list[dict]:

@@ -33,7 +33,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .binio import FormatError, Reader, Writer, guard
+from .binio import FormatError, Reader, Writer, guard, write_file
 
 MAGIC = b"DEVN"
 FORMAT_VERSION = 2
@@ -43,15 +43,9 @@ LOSS_KINDS = ("mse", "cross_entropy")
 # Rows of the im2col matrix built at a time (one row per output pixel). A
 # Conv2D builds its patch matrix over batch slices of at most this many rows,
 # so its peak memory is bounded by the input and output arrays rather than by
-# kh*kw copies of the input. Prebuilt rows go through the same slices.
+# kh*kw copies of the input. A 1x1 stride-1 conv's rows are its input's pixels,
+# so it builds nothing (`evolution.patch_form` turns a conv into one).
 IM2COL_ROWS = 4096
-
-# The largest whole im2col matrix, in bytes, that a caller keeps to pass as
-# prebuilt rows. `evolution.run` builds its probe's layer-0 matrix once under
-# this bound: a 1,024-item 28x28 probe under a 3x3 kernel needs 58 MB per
-# input channel, so one channel fits and three do not. Above it, every conv
-# call builds its own slices.
-IM2COL_KEEP_BYTES = 64 << 20
 
 
 class ShapeError(ValueError):
@@ -263,44 +257,40 @@ class Conv2D(Layer):
 
     @staticmethod
     def _pad(x, ph, pw):
+        """`x` itself when there is nothing to pad."""
+        if ph == pw == 0:
+            return x
         return np.pad(x, ((0, 0), (ph // 2, ph - ph // 2), (pw // 2, pw - pw // 2), (0, 0)))
 
     def _cols(self, xp, oh, ow):
         """im2col of padded input: one row per output pixel, item by item,
-        its patch in (kh, kw, cin) order."""
+        its patch in (kh, kw, cin) order. A 1x1 stride-1 kernel's rows are
+        the input's pixels, a view of a contiguous `xp`."""
         kh, kw, cin = self.kernel.shape[:3]
         s = self.stride
+        if kh == kw == s == 1:
+            return xp.reshape(-1, cin)
         win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(1, 2))
         win = win[:, :s * (oh - 1) + 1:s, :s * (ow - 1) + 1:s]
         return win.transpose(0, 1, 2, 4, 5, 3).reshape(-1, kh * kw * cin)
 
     def im2col(self, x):
-        """The whole patch matrix of `x`, for `apply(x, cols)`."""
+        """The whole patch matrix of `x`, one row per output pixel."""
         oh, ow, ph, pw = self._geometry(x.shape[1], x.shape[2])
         return self._cols(self._pad(x, ph, pw), oh, ow)
 
     def _rows(self, ctx):
-        """(first row, end row, rows of the patch matrix) per batch slice:
-        slices of the prebuilt matrix, or built from the padded input."""
-        src, prebuilt, (n, h, w), (oh, ow, _, _) = ctx
+        """(first row, end row, rows of the patch matrix) per batch slice."""
+        xp, (n, _, _), (oh, ow, _, _) = ctx
         for lo, hi in _batch_slices(n, oh * ow):
-            lo_row, hi_row = lo * oh * ow, hi * oh * ow
-            yield lo_row, hi_row, (src[lo_row:hi_row] if prebuilt
-                                   else self._cols(src[lo:hi], oh, ow))
+            yield lo * oh * ow, hi * oh * ow, self._cols(xp[lo:hi], oh, ow)
 
-    def apply(self, x, cols=None):
-        """`cols`, if given, is `im2col(x)` built beforehand (or the rows of a
-        larger matrix that `x`'s items own): the GEMMs read its rows instead
-        of building them, and the ctx keeps it for `grads`."""
+    def apply(self, x):
         n, h, w, _ = x.shape
         oh, ow, ph, pw = geometry = self._geometry(h, w)
         cout = self.kernel.shape[3]
         k = self.kernel.reshape(-1, cout)
-        if cols is not None and cols.shape != (n * oh * ow, k.shape[0]):
-            raise ShapeError(f"prebuilt im2col rows of shape {cols.shape} do not match "
-                             f"{n} items of {oh}x{ow} patches of {k.shape[0]}")
-        ctx = (self._pad(x, ph, pw) if cols is None else cols, cols is not None, (n, h, w),
-               geometry)
+        ctx = (self._pad(x, ph, pw), (n, h, w), geometry)
         y = np.empty((n * oh * ow, cout))
         for lo, hi, rows in self._rows(ctx):
             np.matmul(rows, k, out=y[lo:hi])
@@ -320,7 +310,7 @@ class Conv2D(Layer):
     def _input_grad(self, g, ctx):
         """The gradient of the unpadded input: each output pixel's patch
         gradient (g @ kernel^T) scattered back over its kh*kw taps."""
-        _, _, (n, h, w), (oh, ow, ph, pw) = ctx
+        _, (n, h, w), (oh, ow, ph, pw) = ctx
         kh, kw, cin, cout = self.kernel.shape
         s = self.stride
         k = self.kernel.reshape(-1, cout)
@@ -538,56 +528,46 @@ class Network:
         return Network(layers, self.input_shape)
 
 
-def _forward_with_ctx(net: Network, inputs: np.ndarray, keep: bool = True,
-                      cols: Optional[np.ndarray] = None):
+def _forward_with_ctx(net: Network, inputs: np.ndarray, keep: bool = True):
     """(outputs, one ctx per layer). With keep=False no ctx is kept, and a
     layer may overwrite its input unless that shares memory with `inputs`, so
     a ReLU after a conv holds one batch-sized array, not two. Two at once grew
     the heap past glibc's trim threshold on every trial of a conv layer, and
-    each trial faulted about 3 MiB back in. `cols` goes to a first Conv2D as
-    its prebuilt im2col rows of `inputs`."""
+    each trial faulted about 3 MiB back in."""
     first = x = np.asarray(inputs, dtype=np.float64)
     if x.shape[1:] != net.input_shape:
         raise ShapeError(
             f"batch shape {x.shape[1:]} does not match network input "
             f"shape {net.input_shape}"
         )
-    if cols is not None and not (net.layers and isinstance(net.layers[0], Conv2D)):
-        raise ShapeError("prebuilt im2col rows need a conv2d first layer")
-    extra = () if cols is None else (cols,)  # the first layer's only
     ctxs = []
     for i, layer in enumerate(net.layers):
         try:
             if keep:
-                x, ctx = layer.apply(x, *extra)
+                x, ctx = layer.apply(x)
                 ctxs.append(ctx)
             elif np.may_share_memory(x, first):
-                x = layer.apply(x, *extra)[0]
+                x = layer.apply(x)[0]
             else:
                 x = layer.apply_owned(x)
         except ShapeError as e:
             raise ShapeError(f"layer {i} ({layer.kind}): {e}") from None
         if not np.isfinite(x).all():
             raise FloatingPointError(f"non-finite values produced by layer {i} ({layer.kind})")
-        extra = ()
     return x, ctxs
 
 
-def forward(net: Network, inputs: np.ndarray,
-            cols: Optional[np.ndarray] = None) -> np.ndarray:
-    """Run the network on a stack of inputs; `inputs` is never modified.
-    `cols`, for a conv2d first layer, is its `im2col(inputs)` built
-    beforehand; the outputs have the same bits either way."""
-    return _forward_with_ctx(net, inputs, keep=False, cols=cols)[0]
+def forward(net: Network, inputs: np.ndarray) -> np.ndarray:
+    """Run the network on a stack of inputs; `inputs` is never modified."""
+    return _forward_with_ctx(net, inputs, keep=False)[0]
 
 
-def value_and_grads(net: Network, inputs: np.ndarray, loss,
-                    cols: Optional[np.ndarray] = None):
+def value_and_grads(net: Network, inputs: np.ndarray, loss):
     """(value, one gradient per parameter tensor) of `loss(outputs)`, which
     returns (value, d value / d outputs). The backward pass stops at the
     first parameter layer, which computes no input gradient: no caller reads
-    the gradient of the inputs. `cols` is as in `forward`."""
-    out, ctxs = _forward_with_ctx(net, inputs, cols=cols)
+    the gradient of the inputs."""
+    out, ctxs = _forward_with_ctx(net, inputs)
     value, g = loss(out)
     grads: list[list[np.ndarray]] = [[] for _ in net.layers]
     first = min(net.param_layer_indices(), default=len(net.layers))
@@ -782,9 +762,7 @@ def deserialize_network(data: bytes) -> Network:
 
 
 def save_network(net: Network, path: str):
-    data = serialize_network(net)  # first: a failure leaves no file behind
-    with open(path, "wb") as f:
-        f.write(data)
+    write_file(path, serialize_network(net))
 
 
 def load_network(path: str) -> Network:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .binio import FormatError, Reader, Writer
+from .binio import FormatError, Reader, Writer, write_file
 from .nn import Network
 
 
@@ -205,9 +205,7 @@ def deserialize_mask(data: bytes) -> SparsityMask:
 
 
 def save_mask(mask: SparsityMask, path: str):
-    data = serialize_mask(mask)  # first: a failure leaves no file behind
-    with open(path, "wb") as f:
-        f.write(data)
+    write_file(path, serialize_mask(mask))
 
 
 def load_mask(path: str) -> SparsityMask:

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -43,6 +44,47 @@ def tiny_conv_teacher(seed=0):
 def conv_probe(n=32, seed=1):
     data = datasets.synthetic_dataset("blobs", n, 3, seed=seed, feature_dim=36)
     return datasets.ProbeSet(data.inputs.reshape(-1, 6, 6, 1), data.labels)
+
+
+def strided_conv_teacher(seed=0):
+    return nn.build_network({"input_shape": [7, 7, 2], "layers": [
+        {"kind": "conv2d", "filters": 3, "kernel": 3, "stride": 2, "padding": "valid"},
+        {"kind": "relu"},
+        {"kind": "flatten"},
+        {"kind": "dense", "units": 3},
+        {"kind": "softmax"},
+    ]}, seed)
+
+
+def strided_conv_probe(n=32, seed=1):
+    data = datasets.synthetic_dataset("blobs", n, 3, seed=seed, feature_dim=98)
+    return datasets.ProbeSet(data.inputs.reshape(-1, 7, 7, 2), data.labels)
+
+
+# (teacher, probe, its dense layer) of a conv-first run whose probe's layer-0
+# rows fill more than one im2col slice: 130 items of 36 output pixels, 460 of 9
+CONV_RUNS = {
+    "same-3x3": lambda: (tiny_conv_teacher(2), conv_probe(130), 4),
+    "valid-stride-2": lambda: (strided_conv_teacher(2), strided_conv_probe(460), 3),
+}
+
+
+def conv_run(name, path, workers=1):
+    """`run` on one of CONV_RUNS (a retraining batch of 48 leaves a last batch
+    of 34 or 28), its history written to `path`. Returns its history CSV,
+    mask and student bytes."""
+    net, probe, dense = CONV_RUNS[name]()
+    assert probe.size * math.prod(net.layers[0].out_shape(net.input_shape)[:2]) > nn.IM2COL_ROWS
+    res = run(net, probe, EvolutionConfig(
+        trials_per_cycle=5, step_fraction=0.1, target_sparsity={0: 0.3, dense: 0.3},
+        retrain_epochs=2, retrain_batch_size=48, retrain_lr=0.3, master_seed=7,
+        scope=[0, dense], workers=workers))
+    assert res.status == "target_reached"
+    assert {r.layer for r in res.history} == {0, dense}
+    assert all(math.isfinite(r.retrain_divergence) for r in res.history)
+    write_history(res.history, str(path))
+    return (path.read_bytes(), sparsity.serialize_mask(res.mask),
+            nn.serialize_network(res.student))
 
 
 class TestPropose:
@@ -404,35 +446,40 @@ class TestRun:
             written.append(path.read_bytes())
         assert written[0] == written[1]
 
-    def test_conv_bytes_with_and_without_the_probe_matrix(self, tmp_path, monkeypatch):
-        # 130 items of 36 output pixels: 4,680 rows, more than one slice; a
-        # retraining batch of 48 leaves a last batch of 34
-        net = tiny_conv_teacher(2)
-        probe = conv_probe(130)
-        assert probe.size * 36 > nn.IM2COL_ROWS
-        base = dict(trials_per_cycle=5, step_fraction=0.1,
-                    target_sparsity={0: 0.3, 4: 0.3}, retrain_epochs=2,
-                    retrain_batch_size=48, retrain_lr=0.3, master_seed=7, scope=[0, 4])
-        builds = []
-        real = nn.Conv2D._cols
-        monkeypatch.setattr(nn.Conv2D, "_cols",
-                            lambda layer, *args: builds.append(1) or real(layer, *args))
+    @pytest.mark.parametrize("name", CONV_RUNS)
+    def test_conv_bytes_with_and_without_the_probe_matrix(self, name, tmp_path, monkeypatch):
+        builds, real = [], nn.Conv2D._cols
+
+        def counted(layer, *args):
+            if layer.kernel.shape[:2] != (1, 1):  # layer 0's own kernel, not its patch form
+                builds.append(1)
+            return real(layer, *args)
+        monkeypatch.setattr(nn.Conv2D, "_cols", counted)
         written = {}
-        for keep in (nn.IM2COL_KEEP_BYTES, 0):  # 0: every conv call builds its own
-            monkeypatch.setattr(nn, "IM2COL_KEEP_BYTES", keep)
+        for keep in (evolution.IM2COL_KEEP_BYTES, 0):  # 0: every conv call builds its own
+            monkeypatch.setattr(evolution, "IM2COL_KEEP_BYTES", keep)
             for workers in (1, 2):
                 builds.clear()
-                res = run(net, probe, EvolutionConfig(**base, workers=workers))
-                assert res.status == "target_reached"
-                assert {r.layer for r in res.history} == {0, 4}
-                assert all(math.isfinite(r.retrain_divergence) for r in res.history)
+                written[keep, workers] = conv_run(
+                    name, tmp_path / f"history-{keep}-{workers}.csv", workers)
                 assert (len(builds) == 1) == (keep > 0)  # built once for the run
-                path = tmp_path / f"history-{keep}-{workers}.csv"
-                write_history(res.history, str(path))
-                written[keep, workers] = (path.read_bytes(),
-                                          sparsity.serialize_mask(res.mask),
-                                          nn.serialize_network(res.student))
         assert len(set(written.values())) == 1
+
+    # sha256 of the history CSV, the mask and the student of each conv run
+    CONV_RUN_DIGESTS = {
+        "same-3x3": ("23d550db748af6a992e66d42e17dcb0955ba66755cbd53d6dbfe267676ce05d1",
+                     "9b8e134983f1cc57d7bd423aea8f6ff20b4960d6f5a0ef23c90e14c708f230d0",
+                     "78774bae02163d7d9db904752b5bfc1c435ac9e67d18c513b34717e8245297c1"),
+        "valid-stride-2": ("5cc23d92d875c97d0ee1c21156f0d8ef4887138d907a87232203f0fdf3eb7b03",
+                           "5e0025555af441aa8efb01658a21b8d301976ef1a0926c53bb4832bedbadedd2",
+                           "83147fa151664ac21c028b4f65d4698b067a84af5e6cba9d6c20d1a007be33ca"),
+    }
+
+    @pytest.mark.parametrize("name", CONV_RUNS)
+    def test_conv_run_bytes_are_pinned(self, name, tmp_path):
+        written = conv_run(name, tmp_path / "history.csv")
+        digests = tuple(hashlib.sha256(data).hexdigest() for data in written)
+        assert digests == self.CONV_RUN_DIGESTS[name]
 
     def test_monotone_sparsity_and_argmin(self):
         net = tiny_teacher(4)

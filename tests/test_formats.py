@@ -4,14 +4,16 @@ models, DEVM masks, DEVP containers and IDX inputs.
 Each decoder must reject a malformed file with its own error class, and any
 file it accepts must re-encode to exactly the same bytes."""
 
+import errno
 import gzip
+import os
 import struct
 import zlib
 
 import numpy as np
 import pytest
 
-from devolve import datasets, nn, sparsity
+from devolve import binio, datasets, nn, sparsity
 from devolve.datasets import IdxFormatError
 from devolve.nn import ModelFormatError
 from devolve.packing import (MASK_BITMAP, MASK_RUNLENGTH, HuffmanTable,
@@ -346,3 +348,49 @@ class TestIdxTyped:
     def test_bad_magic_is_typed(self):
         with pytest.raises(IdxFormatError, match="magic.*offset 0"):
             datasets.parse_idx(struct.pack(">II", 0x00000802, 1) + b"\x00")
+
+
+class TestWriteFile:
+    """Every output goes through `binio.write_file`: whole or not at all."""
+
+    def test_bytes_and_mode_are_those_of_open(self, tmp_path):
+        with open(tmp_path / "by-open", "wb") as f:
+            f.write(b"DEVN\x00")
+        binio.write_file(tmp_path / "by-helper", b"DEVN\x00")
+        a, b = (os.stat(tmp_path / name) for name in ("by-open", "by-helper"))
+        assert (tmp_path / "by-helper").read_bytes() == b"DEVN\x00"
+        assert a.st_mode == b.st_mode
+        binio.write_file(str(tmp_path / "by-helper"), b"new")
+        assert (tmp_path / "by-helper").read_bytes() == b"new"
+        assert sorted(os.listdir(tmp_path)) == ["by-helper", "by-open"]
+
+    def test_a_write_that_fails_midway_keeps_the_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "model.devn"
+        path.write_bytes(b"old bytes")
+
+        class FullDisk:  # writes half of the data, then runs out of space
+            def __init__(self, name, mode):
+                self.f = open(name, mode)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.f.close()
+
+            def write(self, data):
+                self.f.write(data[:len(data) // 2])
+                self.f.flush()
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(binio, "open", FullDisk, raising=False)
+        with pytest.raises(OSError, match="No space"):
+            binio.write_file(path, b"new bytes, longer than the old")
+        assert path.read_bytes() == b"old bytes"
+        assert os.listdir(tmp_path) == ["model.devn"]
+
+    def test_a_failed_replace_leaves_no_temporary_file(self, tmp_path):
+        (tmp_path / "out").mkdir()  # a directory: the file cannot replace it
+        with pytest.raises(OSError):
+            binio.write_file(tmp_path / "out", b"data")
+        assert os.listdir(tmp_path) == ["out"] and not os.listdir(tmp_path / "out")

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from devolve import nn
+from devolve import evolution, nn
+from devolve.datasets import ProbeSet
 from devolve.nn import (Batch, Conv2D, Dense, LeakyReLU, MaxPool2D, Network,
                         ReLU, ShapeError, Softmax)
 from helpers import LAYOUT_KINDS, layout_net
@@ -127,7 +128,11 @@ class TestForward:
         [{"kind": "flatten"}, {"kind": "relu"}, {"kind": "dense", "units": 3}],
         [{"kind": "conv2d", "filters": 3, "kernel": 3, "padding": "same"},
          {"kind": "relu"}, {"kind": "max_pool", "pool": 2}, {"kind": "relu"},
-         {"kind": "flatten"}, {"kind": "dense", "units": 3}, {"kind": "relu"}]])
+         {"kind": "flatten"}, {"kind": "dense", "units": 3}, {"kind": "relu"}],
+        # a valid conv pads nothing, so its ctx holds the caller's array
+        [{"kind": "conv2d", "filters": 3, "kernel": 2, "stride": 2, "padding": "valid"},
+         {"kind": "relu"}, {"kind": "flatten"}, {"kind": "dense", "units": 3},
+         {"kind": "relu"}]])
     def test_in_place_layers_leave_inputs_and_bits_alone(self, layers):
         # forward rectifies its own arrays in place, never the caller's
         net = small_net(seed=2, layers=layers, input_shape=(4, 4, 2))
@@ -321,65 +326,75 @@ class TestConvPoolOracle:
 
 
 class TestPrebuiltCols:
-    """`Conv2D.apply(x, cols)` with prebuilt im2col rows gives the bits of the
-    per-call path, outputs and gradients alike."""
+    """A conv on prebuilt im2col rows: `evolution.patch_form` makes a conv a
+    1x1 stride-1 conv on `im2col(x)`, which gives the conv's bits, outputs and
+    kernel and bias gradients alike, over the same batch slices."""
 
     @staticmethod
-    def assert_paths_equal(layer, x, cols, rng):
-        y, ctx = layer.apply(x)
-        yc, ctxc = layer.apply(x, cols)
-        assert bits_equal(yc, y)
+    def assert_paths_equal(layer, x, rng, items=slice(None)):
+        """`layer` on x[items] against the patch form's conv on those items'
+        patches, cut from the patch tensor of the whole of `x`."""
+        net, probe = evolution.patch_form(Network([layer], x.shape[1:]), ProbeSet(x))
+        one = net.layers[0]
+        assert (one.kernel.shape[:2], one.stride, one.padding) == ((1, 1), 1, "valid")
+        y, ctx = layer.apply(x[items])
+        yp, ctxp = one.apply(probe.inputs[items])
+        assert bits_equal(yp, y)
         g = rng.normal(size=y.shape)
-        for need_input in (True, False):
-            gx, (gk, gb) = layer.grads(ctx, g, need_input)
-            gxc, (gkc, gbc) = layer.grads(ctxc, g, need_input)
-            assert (gxc is None) == (gx is None) == (not need_input)
-            if need_input:
-                assert bits_equal(gxc, gx)
-            assert bits_equal(gkc, gk) and bits_equal(gbc, gb)
+        _, (gk, gb) = layer.grads(ctx, g, need_input=False)
+        _, (gkp, gbp) = one.grads(ctxp, g, need_input=False)
+        assert bits_equal(gkp.reshape(gk.shape), gk) and bits_equal(gbp, gb)
 
     @pytest.mark.parametrize("stride", [1, 2])
     @pytest.mark.parametrize("padding", ["same", "valid"])
     def test_bits_equal_per_call_im2col(self, stride, padding, rng):
         layer = Conv2D(rng.normal(size=(3, 2, 2, 4)), rng.normal(size=4), stride, padding)
-        x = rng.normal(size=(3, 7, 6, 2))
-        self.assert_paths_equal(layer, x, layer.im2col(x), rng)
+        self.assert_paths_equal(layer, rng.normal(size=(3, 7, 6, 2)), rng)
 
     def test_a_batch_of_several_slices(self, rng):
         layer = Conv2D(rng.normal(size=(3, 3, 1, 16)), rng.normal(size=16), 1, "same")
         x = rng.normal(size=(50, 10, 10, 1))  # 5,000 rows: slices of 40 items
         assert x.shape[0] * 100 > nn.IM2COL_ROWS
-        self.assert_paths_equal(layer, x, layer.im2col(x), rng)
+        self.assert_paths_equal(layer, x, rng)
 
     @pytest.mark.parametrize("lo,hi", [(30, 75), (39, 41), (0, 41), (79, 100)])
     def test_item_ranges_take_their_rows_of_the_whole_matrix(self, lo, hi, rng):
-        # 100 pixels an item: the whole matrix's slices end at items 40 and 80
+        # a retraining batch of items [lo, hi); 100 pixels an item: the whole
+        # matrix's slices end at items 40 and 80
         layer = Conv2D(rng.normal(size=(3, 3, 2, 5)), rng.normal(size=5), 1, "same")
-        x = rng.normal(size=(100, 10, 10, 2))
-        cols = layer.im2col(x)
         assert nn._batch_slices(100, 100)[:2] == [(0, 40), (40, 80)]
-        self.assert_paths_equal(layer, x[lo:hi], cols[lo * 100:hi * 100], rng)
-
-    def test_rows_that_do_not_match_are_refused(self, rng):
-        layer = Conv2D(rng.normal(size=(3, 3, 1, 2)), np.zeros(2))
-        x = rng.normal(size=(4, 5, 5, 1))
-        with pytest.raises(ShapeError, match="prebuilt im2col rows"):
-            layer.apply(x, layer.im2col(x)[:-25])
-        net = small_net()
-        with pytest.raises(ShapeError, match="conv2d first layer"):
-            nn.forward(net, rng.normal(size=(2, 6)), np.zeros((2, 6)))
+        self.assert_paths_equal(layer, rng.normal(size=(100, 10, 10, 2)), rng, slice(lo, hi))
 
     def test_forward_and_value_and_grads_pass_the_rows_to_layer_0(self, rng):
         net = nn.build_network({"input_shape": [6, 6, 1], "layers": [
             {"kind": "conv2d", "filters": 3, "stride": 2}, {"kind": "relu"},
             {"kind": "flatten"}, {"kind": "dense", "units": 2}]}, 3)
         x = rng.normal(size=(5, 6, 6, 1))
-        cols = net.layers[0].im2col(x)
-        assert bits_equal(nn.forward(net, x, cols), nn.forward(net, x))
+        patched, probe = evolution.patch_form(net, ProbeSet(x))
+        assert patched.input_shape == (3, 3, 9)
+        assert all(a is b for a, b in zip(patched.layers[1:], net.layers[1:], strict=True))
+        assert bits_equal(nn.forward(patched, probe.inputs), nn.forward(net, x))
         target = rng.normal(size=(5, 2))
         a = nn.value_and_grads(net, x, lambda out: nn.mse_loss(out, target))
-        b = nn.value_and_grads(net, x, lambda out: nn.mse_loss(out, target), cols)
-        assert a[0] == b[0] and all(map(bits_equal, a[1], b[1]))
+        b = nn.value_and_grads(patched, probe.inputs, lambda out: nn.mse_loss(out, target))
+        assert a[0] == b[0]
+        assert all(bits_equal(gb.reshape(ga.shape), ga) for ga, gb in zip(a[1], b[1]))
+
+    def test_a_dense_first_net_and_a_large_probe_are_untouched(self, rng, monkeypatch):
+        def untouched(net, probe):
+            patched, same = evolution.patch_form(net, probe)
+            return patched is net and same is probe
+
+        assert untouched(small_net(), ProbeSet(rng.normal(size=(4, 6))))
+        conv = small_net(layers=[{"kind": "conv2d", "filters": 2}, {"kind": "flatten"}],
+                         input_shape=(5, 5, 1))
+        probe = ProbeSet(rng.normal(size=(4, 5, 5, 1)))
+        monkeypatch.setattr(evolution, "IM2COL_KEEP_BYTES", 4 * 25 * 9 * 8)
+        assert not untouched(conv, probe)  # 4 items of 25 patches of 9, at the bound
+        # a probe of another shape is left to forward's ShapeError
+        assert untouched(conv, ProbeSet(rng.normal(size=(1, 6, 6, 1))))
+        monkeypatch.setattr(evolution, "IM2COL_KEEP_BYTES", 4 * 25 * 9 * 8 - 1)
+        assert untouched(conv, probe)
 
 
 class TestSgd:
