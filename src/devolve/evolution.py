@@ -12,6 +12,12 @@ that `retrain` owns, with masked gradients zeroed so pruned positions stay
 zeroed), so effective steps shrink as a layer fills up and the search gets
 more cautious at high sparsity.
 
+When the tail's first layer is a dense layer whose trial GEMM is large and
+wide enough (`STACK_MIN_GEMM`, `STACK_COLUMNS`), the trials on it share one
+GEMM per chunk, `acts @ [W_1 | ... | W_K]`, so the probe is packed once per
+chunk and not once per trial; each trial's column slice has the bits of its
+own GEMM, and the rest of its tail runs on that slice.
+
 When layer 0 is a conv, `run` evolves its `patch_form` instead: the probe
 becomes its im2col patches, built once, and layer 0 a 1x1 conv on them, so
 the teacher outputs, each sweep's front, each trial on layer 0 and each
@@ -29,6 +35,7 @@ import csv
 import dataclasses
 import io
 import math
+import queue
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -46,6 +53,20 @@ from .sparsity import CandidateSet, SparsityMask, apply_mask, merge, prunable_in
 # one channel fits and three do not. Above it, every conv call on the probe
 # builds its own im2col slices.
 IM2COL_KEEP_BYTES = 64 << 20
+
+# The trials on a tail's first layer share one GEMM per chunk when that layer
+# is a dense layer whose one-trial GEMM, rows * in * out, is above
+# STACK_MIN_GEMM and whose out is a multiple of STACK_COLUMNS. On OpenBLAS
+# 0.3.31 (AVX-512 kernels, 1 to 3 threads) each trial's column slice of such a
+# stacked GEMM had the bits of its own GEMM in every case tried. At 100^3 and
+# below, its small-matrix kernel sums in another order (128x400x10 differs),
+# and above it widths of 21-39 that are not multiples of 8 differed too.
+STACK_MIN_GEMM = 1 << 20
+STACK_COLUMNS = 8
+# The bytes of stacked weights and outputs a chunk holds: ten trials of a
+# 1,024-row probe on a 784->32 layer (463 KB each). Each worker fills one
+# chunk's buffers at a time, so the chunk count sets the load balance.
+STACK_CHUNK_BYTES = 5_000_000
 
 
 @dataclass
@@ -249,6 +270,17 @@ def evaluate_candidate(student: Network, cand: CandidateSet,
     return divergence(nn.forward(scratch, inputs), teacher_outputs, spec)
 
 
+def stack_size(layer: nn.Layer, rows: int) -> int:
+    """Trials per stacked GEMM for candidates on `layer` as a tail's first
+    layer over `rows` input rows, or 0 when each trial runs on its own."""
+    if not isinstance(layer, nn.Dense):
+        return 0
+    n_in, n_out = layer.weights.shape
+    if rows * n_in * n_out <= STACK_MIN_GEMM or n_out % STACK_COLUMNS:
+        return 0
+    return max(1, STACK_CHUNK_BYTES // (8 * n_out * (rows + n_in)))
+
+
 def evaluate_trials(student: Network, mask: SparsityMask,
                     candidates: Sequence[CandidateSet],
                     teacher_outputs: np.ndarray, probe: ProbeSet, spec: DivergenceSpec,
@@ -259,7 +291,9 @@ def evaluate_trials(student: Network, mask: SparsityMask,
 
     The mask is applied once, and the layers in front of the first candidate
     layer run once on the probe: every trial evaluates only the tail of the
-    network from that layer on, with its candidate re-indexed to the tail."""
+    network from that layer on, with its candidate re-indexed to the tail.
+    The trials on the tail's first layer run in chunks of `stack_size` if it
+    is above 0, each chunk one GEMM; every other trial is `evaluate_candidate`."""
     masked = apply_mask(student, mask)
     front = min((c.layer for c in candidates), default=0)
     acts = (nn.forward(Network(masked.layers[:front], masked.input_shape), probe.inputs)
@@ -267,16 +301,68 @@ def evaluate_trials(student: Network, mask: SparsityMask,
     tail = Network(masked.layers[front:], acts.shape[1:])
     tail_cands = ([CandidateSet(c.layer - front, c.indices) for c in candidates]
                   if front else candidates)
+    rows = acts.shape[0]
+    per = stack_size(tail.layers[0], rows) if candidates else 0
+    stacks = [per > 0 and c.layer == 0 for c in tail_cands]
+    on_first = [i for i, s in enumerate(stacks) if s]
+    chunks = [on_first[lo:lo + per] for lo in range(0, len(on_first), per or 1)]
+    buffers = queue.SimpleQueue()  # one pair per chunk that can run at once
+    if chunks:
+        first = tail.layers[0]
+        n_in, n_out = first.weights.shape
+        rest = Network(tail.layers[1:], (n_out,))
+        for _ in range(min(max(workers, 1), len(chunks))):
+            buffers.put((np.empty(n_in * per * n_out), np.empty(rows * per * n_out)))
 
-    def trial(cand):
-        return evaluate_candidate(tail, cand, teacher_outputs, acts, spec)
+    def stacked(chunk):
+        """The chunk's trials as one GEMM: each trial's weights with its
+        candidate zeroed in its own column block, its bias added to its
+        slice of the output in place."""
+        k = len(chunk)
+        weights, outputs = buffers.get()
+        try:
+            w = weights[:n_in * k * n_out].reshape(n_in, k, n_out)
+            w[...] = first.weights[:, None, :]
+            bias = np.empty((k, n_out))
+            bias[...] = first.bias
+            for t, i in enumerate(chunk):
+                idx = tail_cands[i].indices
+                cut = np.searchsorted(idx, first.weights.size)
+                w[idx[:cut] // n_out, t, idx[:cut] % n_out] = 0.0
+                bias[t, idx[cut:] - first.weights.size] = 0.0
+            out = outputs[:rows * k * n_out].reshape(rows, k, n_out)
+            np.matmul(acts, w.reshape(n_in, k * n_out), out=out.reshape(rows, k * n_out))
+            divs = []
+            for t in range(k):
+                y = out[:, t]
+                y += bias[t]
+                if not np.isfinite(y).all():  # nn.forward's check on layer 0
+                    raise FloatingPointError(
+                        f"non-finite values produced by layer 0 ({first.kind})")
+                divs.append(divergence(nn.forward(rest, y), teacher_outputs, spec))
+            return divs
+        finally:
+            buffers.put((weights, outputs))
 
-    if workers <= 1 or len(candidates) < 2:
-        divs = [trial(c) for c in tail_cands]
+    def one_by_one(chunk):
+        return [evaluate_candidate(tail, tail_cands[i], teacher_outputs, acts, spec)
+                for i in chunk]
+
+    tasks = [(stacked, c) for c in chunks]
+    tasks += [(one_by_one, [i]) for i, s in enumerate(stacks) if not s]
+
+    def run_task(task):
+        return task[0](task[1])
+
+    if workers <= 1 or len(tasks) < 2:
+        results = [run_task(t) for t in tasks]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            divs = list(pool.map(trial, tail_cands))
-    return np.asarray(divs, dtype=np.float64)
+            results = list(pool.map(run_task, tasks))
+    divs = np.empty(len(candidates), dtype=np.float64)
+    for (_, chunk), values in zip(tasks, results):
+        divs[chunk] = values
+    return divs
 
 
 def select_and_commit(cycle: int, layer: int, candidates: Sequence[CandidateSet],
@@ -305,14 +391,17 @@ def select_and_commit(cycle: int, layer: int, candidates: Sequence[CandidateSet]
 
 
 def retrain(student: Network, mask: SparsityMask, teacher_outputs: np.ndarray,
-            probe: ProbeSet, cfg: EvolutionConfig, spec: DivergenceSpec) -> Network:
+            probe: ProbeSet, cfg: EvolutionConfig, spec: DivergenceSpec,
+            start_div: float) -> tuple[Network, float]:
     """SGD on the divergence toward the teacher outputs; masked positions stay
-    zero. Keeps the best parameters seen, so the result never diverges more
-    than the input network, which is never modified. A step or epoch that goes
+    zero. `start_div` is the divergence of the masked input network, as the
+    sweep that committed the mask measured it. Returns the best parameters
+    seen and their divergence, so the result never diverges more than the
+    input network, which is never modified. A step or epoch that goes
     non-finite ends the retraining (the next forward pass raises), and the best
     network so far stands."""
     if cfg.retrain_epochs <= 0:
-        return student
+        return student, start_div
     inputs = probe.inputs
     n = inputs.shape[0]
     bs = min(cfg.retrain_batch_size, n)
@@ -323,7 +412,7 @@ def retrain(student: Network, mask: SparsityMask, teacher_outputs: np.ndarray,
     # 1.0 where a parameter survives, 0.0 where it is masked: masked gradients
     # are zero, so masked positions stay exactly 0.0 through every step
     keep = apply_mask(ones, mask).param_tensors()
-    best_div = divergence(nn.forward(net, inputs), teacher_outputs, spec)
+    best_div = start_div
     try:
         for _ in range(cfg.retrain_epochs):
             for lo in range(0, n, bs):
@@ -342,7 +431,7 @@ def retrain(student: Network, mask: SparsityMask, teacher_outputs: np.ndarray,
                 best_net = net.copy()
     except FloatingPointError:
         pass
-    return best_net
+    return best_net, best_div
 
 
 def patch_form(net: Network, probe: ProbeSet) -> tuple[Network, ProbeSet]:
@@ -411,8 +500,9 @@ def run(teacher: Network, probe: ProbeSet, cfg: EvolutionConfig,
             mask, record = select_and_commit(cycle, layer, candidates, divs, mask)
             student = apply_mask(student, mask)
             history.append(record)
-        student = retrain(student, mask, teacher_outputs, probe, cfg, spec)
-        final_div = divergence(nn.forward(student, probe.inputs), teacher_outputs, spec)
+        # the last sweep measured the masked student: its best divergence
+        student, final_div = retrain(student, mask, teacher_outputs, probe, cfg, spec,
+                                     history[-1].best_divergence)
         for i in range(snapshot[2], len(history)):
             history[i].retrain_divergence = final_div
         if cfg.divergence_budget is not None and final_div > cfg.divergence_budget:

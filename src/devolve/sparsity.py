@@ -38,9 +38,10 @@ class CandidateSet:
         idx = np.asarray(self.indices, dtype=np.int64)
         if idx.ndim != 1:
             raise ValueError("candidate indices must be a flat array")
-        if idx.size and (np.diff(np.sort(idx)).min(initial=1) == 0):
+        idx = np.sort(idx)
+        if (np.diff(idx) == 0).any():
             raise ValueError("candidate indices must be unique")
-        object.__setattr__(self, "indices", np.sort(idx))
+        object.__setattr__(self, "indices", idx)
 
     @property
     def size(self) -> int:

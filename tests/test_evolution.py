@@ -1,5 +1,10 @@
 import hashlib
+import json
 import math
+import os
+import subprocess
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -67,6 +72,54 @@ CONV_RUNS = {
     "same-3x3": lambda: (tiny_conv_teacher(2), conv_probe(130), 4),
     "valid-stride-2": lambda: (strided_conv_teacher(2), strided_conv_probe(460), 3),
 }
+
+
+def wide_teacher(seed=0):
+    """On a 256-item probe, layer 0 (64->72) and layer 2 (72->64) are dense
+    layers whose trial GEMMs are above the stacking gate; layer 2 feeds a
+    dense layer directly, and layer 3 (64->3) is below the gate."""
+    return nn.build_network({"input_shape": [64], "layers": [
+        {"kind": "dense", "units": 72},
+        {"kind": "leaky_relu", "slope": 0.1},
+        {"kind": "dense", "units": 64},
+        {"kind": "dense", "units": 3},
+        {"kind": "softmax"},
+    ]}, seed)
+
+
+def wide_probe(n=256, seed=1):
+    return datasets.synthetic_dataset("blobs", n, 3, seed=seed, feature_dim=64)
+
+
+def chunk_bytes(layer, rows, trials):
+    """The STACK_CHUNK_BYTES that makes chunks of `trials` trials on `layer`."""
+    n_in, n_out = layer.weights.shape
+    return trials * 8 * n_out * (rows + n_in)
+
+
+def wide_run(path, workers=1):
+    """`run` on wide_teacher's layers 0 and 2, biases included, its history
+    written to `path`. Returns its history CSV, mask and student bytes."""
+    res = run(wide_teacher(2), wide_probe(), EvolutionConfig(
+        trials_per_cycle=6, step_fraction=0.05, target_sparsity={0: 0.3, 2: 0.3},
+        retrain_epochs=1, retrain_batch_size=64, retrain_lr=0.3, master_seed=7,
+        scope=[0, 2], include_biases=True, workers=workers))
+    assert res.status == "target_reached"
+    assert {r.layer for r in res.history} == {0, 2}
+    write_history(res.history, str(path))
+    return (path.read_bytes(), sparsity.serialize_mask(res.mask),
+            nn.serialize_network(res.student))
+
+
+def count_calls(monkeypatch, module, name):
+    """A list that grows by one on every call of module.name."""
+    calls, real = [], getattr(module, name)
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+    monkeypatch.setattr(module, name, counted)
+    return calls
 
 
 def conv_run(name, path, workers=1):
@@ -245,6 +298,130 @@ class TestEvaluate:
                                tout, spec) for c in cands]
         assert got.tobytes() == np.asarray(expected).tobytes()
 
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("layer,include_biases", [(0, False), (0, True), (2, True)])
+    def test_stacked_trials_match_one_by_one(self, layer, include_biases, workers,
+                                             monkeypatch):
+        # chunks of 3, 3 and a short 2; layer 2's trials run behind the front
+        net = wide_teacher(1)
+        probe = wide_probe()
+        tout = nn.forward(wide_teacher(2), probe.inputs)
+        mask = sparsity.random_mask(net, 0.3, seed=5, include_biases=False)
+        spec = DivergenceSpec.whole_output(3)
+        cfg = EvolutionConfig(trials_per_cycle=8, step_fraction=0.05,
+                              include_biases=include_biases, master_seed=3)
+        cands = propose_candidates(net, layer, cfg, 0)
+        first = net.layers[layer]
+        assert (max(c.indices.max() for c in cands) >= first.weights.size) == include_biases
+        assert evolution.stack_size(first, probe.size) >= len(cands)
+        monkeypatch.setattr(evolution, "STACK_CHUNK_BYTES",
+                            chunk_bytes(first, probe.size, 3))
+        assert evolution.stack_size(first, probe.size) == 3
+        masked = apply_mask(net, mask)
+        expected = [evaluate_candidate(masked, c, tout, probe.inputs, spec) for c in cands]
+        calls = count_calls(monkeypatch, evolution, "evaluate_candidate")
+        got = evaluate_trials(net, mask, cands, tout, probe, spec, workers)
+        assert calls == []  # every trial was stacked
+        assert got.tobytes() == np.asarray(expected).tobytes()
+
+    def test_stacked_buffers_under_contention(self, monkeypatch):
+        # one-trial chunks on more workers than cores, switching threads as
+        # often as the interpreter allows: a chunk that wrote into buffers
+        # another chunk was using would change that chunk's divergences
+        net = wide_teacher(1)
+        probe = wide_probe()
+        tout = nn.forward(wide_teacher(2), probe.inputs)
+        spec = DivergenceSpec.whole_output(3)
+        cands = propose_candidates(net, 0, EvolutionConfig(
+            trials_per_cycle=16, step_fraction=0.05, master_seed=3), 0)
+        expected = evaluate_trials(net, SparsityMask.empty(net), cands, tout, probe, spec)
+        monkeypatch.setattr(evolution, "STACK_CHUNK_BYTES", 1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=1) as runner:
+                got = runner.submit(evaluate_trials, net, SparsityMask.empty(net), cands,
+                                    tout, probe, spec, 6).result(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_mixed_layers_keep_trial_order(self, workers, monkeypatch):
+        # layer 0's trials are stacked, layer 3's (below the gate) run one by one
+        net = wide_teacher(1)
+        probe = wide_probe()
+        tout = nn.forward(wide_teacher(2), probe.inputs)
+        spec = DivergenceSpec.whole_output(3)
+        cfg = EvolutionConfig(trials_per_cycle=4, step_fraction=0.05, master_seed=3)
+        assert evolution.stack_size(net.layers[3], probe.size) == 0
+        cands = [c for pair in zip(propose_candidates(net, 0, cfg, 0),
+                                   propose_candidates(net, 3, cfg, 0)) for c in pair]
+        expected = [evaluate_candidate(net, c, tout, probe.inputs, spec) for c in cands]
+        calls = count_calls(monkeypatch, evolution, "evaluate_candidate")
+        got = evaluate_trials(net, SparsityMask.empty(net), cands, tout, probe, spec, workers)
+        assert len(calls) == 4
+        assert got.tobytes() == np.asarray(expected).tobytes()
+
+    def test_stacked_non_finite_raises_as_forward(self):
+        net = wide_teacher(1)
+        net = net.replace_layer(0, nn.Dense(net.layers[0].weights * 1e308, net.layers[0].bias))
+        probe = wide_probe()
+        assert evolution.stack_size(net.layers[0], probe.size) > 0
+        cfg = EvolutionConfig(trials_per_cycle=4, step_fraction=0.05, master_seed=3)
+        cands = propose_candidates(net, 0, cfg, 0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(FloatingPointError) as want:
+                nn.forward(net, probe.inputs)
+            with pytest.raises(FloatingPointError) as got:
+                evaluate_trials(net, SparsityMask.empty(net), cands, np.zeros((probe.size, 3)),
+                                probe, DivergenceSpec.whole_output(3))
+        assert str(got.value) == str(want.value) == "non-finite values produced by layer 0 (dense)"
+
+
+# Run in a fresh process, so that the BLAS thread count in its environment
+# takes effect: for each (rows, inner, cols, trials), whether every trial's
+# column slice of one stacked GEMM has the bits of the trial's own GEMM.
+STACKED_GEMM_CHECK = """
+import json, sys
+import numpy as np
+out = {}
+for rows, inner, cols, trials in json.loads(sys.argv[1]):
+    rng = np.random.default_rng([rows, inner, cols, trials])
+    x = rng.standard_normal((rows, inner))
+    ws = [rng.standard_normal((inner, cols)) for _ in range(trials)]
+    stacked = x @ np.concatenate(ws, axis=1)
+    out[repr((rows, inner, cols, trials))] = all(
+        (stacked[:, t * cols:(t + 1) * cols] == x @ w).all() for t, w in enumerate(ws))
+print(json.dumps(out))
+"""
+
+
+class TestStackingGate:
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_stacked_gemm_slices_on_this_blas(self, threads):
+        """The premise of `evolution.stack_size` on the BLAS that runs the
+        tests. The gate's smallest shapes and a 1024x784->32 layer's must give
+        equal slices; a shape at the small-matrix size (128x400x10, under
+        100^3) and a 21-column one must not, or the gate's premise changed."""
+        gate = evolution.STACK_MIN_GEMM
+        admitted = [(gate // (128 * 8) + 1, 128, 8), (gate // (400 * 32) + 1, 400, 32),
+                    (1024, 784, 32)]
+        refused = [(128, 400, 10), (1024, 784, 21)]
+        for shapes, stacks in ((admitted, True), (refused, False)):
+            for rows, inner, cols in shapes:
+                layer = nn.Dense(np.zeros((inner, cols)), np.zeros(cols))
+                assert (evolution.stack_size(layer, rows) > 0) == stacks
+        checks = [(*shape, trials) for shape in admitted + refused for trials in (3, 10)]
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads),
+               "OMP_NUM_THREADS": str(threads)}
+        proc = subprocess.run([sys.executable, "-c", STACKED_GEMM_CHECK, json.dumps(checks)],
+                              capture_output=True, text=True, timeout=300, env=env)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        same = json.loads(proc.stdout)
+        assert all(same[repr((*shape, trials))] for shape in admitted for trials in (3, 10))
+        assert not any(same[repr((*shape, 10))] for shape in refused)
+
 
 class TestSelectCommit:
     def test_argmin(self):
@@ -289,20 +466,21 @@ class TestRetrain:
         net = tiny_teacher()
         probe = tiny_probe()
         cfg = EvolutionConfig(retrain_epochs=0, master_seed=0)
-        out = retrain(net, SparsityMask.empty(net),
-                      nn.forward(net, probe.inputs), probe, cfg,
-                      DivergenceSpec.whole_output(3))
+        out, div = retrain(net, SparsityMask.empty(net),
+                           nn.forward(net, probe.inputs), probe, cfg,
+                           DivergenceSpec.whole_output(3), 0.25)
         assert out is net
+        assert div == 0.25  # the divergence it was given, not measured again
 
     def test_already_optimal_stays_zero(self):
         net = tiny_teacher()
         probe = tiny_probe()
         tout = nn.forward(net, probe.inputs)
         cfg = EvolutionConfig(retrain_epochs=3, retrain_lr=0.5, master_seed=0)
-        out = retrain(net, SparsityMask.empty(net), tout, probe, cfg,
-                      DivergenceSpec.whole_output(3))
+        out, div = retrain(net, SparsityMask.empty(net), tout, probe, cfg,
+                           DivergenceSpec.whole_output(3), 0.0)
         assert divergence(nn.forward(out, probe.inputs), tout,
-                          DivergenceSpec.whole_output(3)) == 0.0
+                          DivergenceSpec.whole_output(3)) == div == 0.0
 
     def test_divergence_gradient_matches_central_differences(self):
         # the parameter gradient that retrain descends, with two heads
@@ -326,9 +504,9 @@ class TestRetrain:
         spec = DivergenceSpec.whole_output(3)
         before = divergence(nn.forward(student, probe.inputs), tout, spec)
         cfg = EvolutionConfig(retrain_epochs=20, retrain_lr=1.0, master_seed=0)
-        out = retrain(student, mask, tout, probe, cfg, spec)
+        out, best = retrain(student, mask, tout, probe, cfg, spec, before)
         after = divergence(nn.forward(out, probe.inputs), tout, spec)
-        assert after < before
+        assert after == best < before
         for i in mask.bits:
             flat = np.concatenate([t.reshape(-1)
                                    for t in out.layers[i].param_tensors()])
@@ -349,11 +527,11 @@ class TestRetrain:
         mask = sparsity.mask_with_counts(student, {0: half}, seed=1, include_biases=False)
         cfg = EvolutionConfig(retrain_epochs=3, retrain_lr=lr, retrain_batch_size=16)
         student_bytes = nn.serialize_network(student)
-        out = retrain(student, mask, tout, probe, cfg, spec)
-        assert nn.serialize_network(student) == student_bytes
-
         net = best = apply_mask(student, mask)
         best_div = divergence(nn.forward(net, probe.inputs), tout, spec)
+        out, out_div = retrain(student, mask, tout, probe, cfg, spec, best_div)
+        assert nn.serialize_network(student) == student_bytes
+
         for _ in range(cfg.retrain_epochs):
             for lo in range(0, 48, 16):
                 target = tout[lo:lo + 16]
@@ -370,6 +548,7 @@ class TestRetrain:
                 best, best_div = net, div
         assert best_div < div
         assert nn.serialize_network(out) == nn.serialize_network(best)
+        assert out_div == best_div
 
     def test_blown_up_step_keeps_the_run(self, tmp_path):
         # lr=1e200 overflows the first retrain step of every sweep; each
@@ -480,6 +659,31 @@ class TestRun:
         written = conv_run(name, tmp_path / "history.csv")
         digests = tuple(hashlib.sha256(data).hexdigest() for data in written)
         assert digests == self.CONV_RUN_DIGESTS[name]
+
+    def test_stacked_run_bytes_match_one_by_one(self, tmp_path, monkeypatch):
+        # chunks of 4 and a short 2; an infinite gate stacks no trial
+        net, rows = wide_teacher(2), wide_probe().size
+        monkeypatch.setattr(evolution, "STACK_CHUNK_BYTES",
+                            chunk_bytes(net.layers[0], rows, 4))
+        assert [evolution.stack_size(net.layers[i], rows) for i in (0, 2)] == [4, 4]
+        calls = count_calls(monkeypatch, evolution, "evaluate_candidate")
+        written = {}
+        for gate in (evolution.STACK_MIN_GEMM, math.inf):
+            monkeypatch.setattr(evolution, "STACK_MIN_GEMM", gate)
+            for workers in (1, 2, 3):
+                calls.clear()
+                written[gate, workers] = wide_run(
+                    tmp_path / f"history-{gate}-{workers}.csv", workers)
+                assert (calls == []) == (gate < math.inf)
+        assert len(set(written.values())) == 1
+        digests = tuple(hashlib.sha256(data).hexdigest() for data in written[math.inf, 1])
+        assert digests == self.WIDE_RUN_DIGESTS
+
+    # sha256 of wide_run's history CSV, mask and student, from trials run one
+    # by one before trials were stacked
+    WIDE_RUN_DIGESTS = ("d0395f3dbcb8bb7cde9cb83ef2caa3223ec20df21a744c63218a69f01a1e65c8",
+                        "ea13d369485d1d559b7441c22e238fb4622b960f5b06421c88a3ce362174e47b",
+                        "de0f47b586198156c703d1247d79e3f552946f6769c2d63172cdde690c165320")
 
     def test_monotone_sparsity_and_argmin(self):
         net = tiny_teacher(4)
