@@ -140,8 +140,11 @@ def _resolve(value, key: Key, path: str):
         return _resolve_section(value, kind, path + ".")
     if isinstance(kind, list):
         return [_resolve(v, kind[0], f"{path}[{i}]") for i, v in enumerate(value)]
+    # a number must be a finite float (10**400 is not); an int key takes any int
+    if kind is float and not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"{path} must be a finite number, got {value!r}")
     if key.choices and value not in key.choices or key.low is not None and not (
-            math.isfinite(value) and (value > key.low if key.strict else value >= key.low)):
+            value > key.low if key.strict else value >= key.low):
         raise ConfigError(f"{path} must be {key.range_text()}, got {value!r}")
     return value
 
@@ -267,8 +270,7 @@ def _build_dataset(config: dict, input_shape) -> datasets.ProbeSet:
     if math.prod(shape) != math.prod(input_shape):
         raise ConfigError(f"dataset inputs of shape {list(shape)} do not fit "
                           f"the network input shape {list(input_shape)}")
-    return datasets.ProbeSet(dataset.inputs.reshape(-1, *input_shape), dataset.labels,
-                             dataset.provenance)
+    return datasets.ProbeSet(dataset.inputs.reshape(-1, *input_shape), dataset.labels)
 
 
 def _build_probe(config: dict, dataset: datasets.ProbeSet) -> datasets.ProbeSet:
@@ -427,7 +429,13 @@ def cmd_pack(config: dict) -> int:
         spec = quantize.QuantizationSpec(entry["scheme"], entry["bits"], "nearest",
                                          entry["levels"])
         i = entry["layer"]
-        codes = quantize.quantize(qnet.layers[i].flat_params(), mask.layer_bits(i), spec)
+        if not qnet.layers[i].param_tensors():
+            raise ValueError(f"luts.json has a table for layer {i}, which has no parameters")
+        kept = qnet.layers[i].flat_params()[~mask.layer_bits(i)]
+        codes = quantize.quantize(kept, None, spec)
+        if not np.array_equal(quantize.dequantize(codes, spec), kept):
+            raise ValueError(f"layer {i}'s surviving weights are not all levels of "
+                             f"its luts.json table")
         quants.append(quantize.LayerQuantization(i, spec, codes))
     packed = packing.pack_model(quantize.QuantizedModel(qnet, mask, quants))
     binio.write_file(path, packed.to_bytes())

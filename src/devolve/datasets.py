@@ -29,7 +29,6 @@ class IdxFormatError(FormatError):
 class ProbeSet:
     inputs: np.ndarray
     labels: Optional[np.ndarray] = None
-    provenance: str = ""
 
     def __post_init__(self):
         self.inputs = np.asarray(self.inputs, dtype=np.float64)
@@ -43,9 +42,6 @@ class ProbeSet:
     @property
     def size(self) -> int:
         return self.inputs.shape[0]
-
-    def __len__(self) -> int:
-        return self.size
 
 
 def parse_idx(data: bytes) -> np.ndarray:
@@ -102,7 +98,7 @@ def load_idx(path: str) -> np.ndarray:
 def load_idx_dataset(images_path: str, labels_path: str) -> ProbeSet:
     images = load_idx(images_path)
     labels = load_idx(labels_path)
-    return ProbeSet(images, labels, provenance=f"idx:{images_path}")
+    return ProbeSet(images, labels)
 
 
 def _balanced_labels(n: int, classes: int) -> np.ndarray:
@@ -153,8 +149,7 @@ def synthetic_dataset(kind: str, n: int, classes: int, seed: int,
         if feature_dim > 2:
             inputs[:, 2:] = rng.normal(scale=0.1, size=(n, feature_dim - 2))
     perm = rng.permutation(n)
-    return ProbeSet(inputs[perm], labels[perm],
-                    provenance=f"synthetic:{kind}:seed={seed}")
+    return ProbeSet(inputs[perm], labels[perm])
 
 
 def subset(dataset: ProbeSet, k: int, seed: int) -> ProbeSet:
@@ -166,5 +161,4 @@ def subset(dataset: ProbeSet, k: int, seed: int) -> ProbeSet:
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x5B5E7]))
     idx = rng.choice(dataset.size, size=k, replace=False)
     labels = dataset.labels[idx] if dataset.labels is not None else None
-    return ProbeSet(dataset.inputs[idx], labels,
-                    provenance=f"{dataset.provenance}|subset:{k}:seed={seed}")
+    return ProbeSet(dataset.inputs[idx], labels)

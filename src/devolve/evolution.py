@@ -1,22 +1,22 @@
 """Evolutionary sparsification cycle.
 
-Each cycle sweeps the in-scope layers: propose random candidate index sets,
-apply the committed mask to the student once, then in each trial zero only
-that trial's candidate on a copy of the masked tail (the layers from the
-candidate layer on; the front runs once per sweep) and measure the student's
-output divergence from frozen teacher outputs on a probe set. The
-least-divergent candidate is committed irrevocably, then the survivors are
-retrained toward the teacher by SGD through `nn.value_and_grads`, on one copy
-that `retrain` owns, with masked gradients zeroed so pruned positions stay
-0.0. Candidates are sampled over all prunable indices (including ones already
-zeroed), so effective steps shrink as a layer fills up and the search gets
-more cautious at high sparsity.
+Each cycle sweeps the in-scope layers one at a time: propose random
+candidate index sets on the layer, apply the committed mask to the student
+once and run the layers in front of it once on a probe set, then in each trial
+run the masked student from the layer on (`nn.forward`'s `start`) with only
+that trial's candidate zeroed, and measure its output divergence from frozen
+teacher outputs. The least-divergent candidate is committed irrevocably, then
+the survivors are retrained toward the teacher by SGD through
+`nn.value_and_grads`, on one copy that `retrain` owns, with masked gradients
+zeroed so pruned positions stay 0.0. Candidates are sampled over all prunable
+indices (including ones already zeroed), so effective steps shrink as a layer
+fills up and the search gets more cautious at high sparsity.
 
-When the tail's first layer is a dense layer whose trial GEMM is large and
-wide enough (`STACK_MIN_GEMM`, `STACK_COLUMNS`), the trials on it share one
-GEMM per chunk, `acts @ [W_1 | ... | W_K]`, so the probe is packed once per
-chunk and not once per trial; each trial's column slice has the bits of its
-own GEMM, and the rest of its tail runs on that slice.
+When the swept layer is a dense layer whose trial GEMM is large and wide
+enough (`STACK_MIN_GEMM`, `STACK_COLUMNS`), the trials on it share one GEMM
+per chunk, `acts @ [W_1 | ... | W_K]`, so the probe is packed once per chunk
+and not once per trial; each trial's column slice has the bits of its own
+GEMM, and the student runs on from the next layer on that slice.
 
 When layer 0 is a conv, `run` evolves its `patch_form` instead: the probe
 becomes its im2col patches, built once, and layer 0 a 1x1 conv on them, so
@@ -54,13 +54,13 @@ from .sparsity import CandidateSet, SparsityMask, apply_mask, merge, prunable_in
 # builds its own im2col slices.
 IM2COL_KEEP_BYTES = 64 << 20
 
-# The trials on a tail's first layer share one GEMM per chunk when that layer
-# is a dense layer whose one-trial GEMM, rows * in * out, is above
-# STACK_MIN_GEMM and whose out is a multiple of STACK_COLUMNS. On OpenBLAS
-# 0.3.31 (AVX-512 kernels, 1 to 3 threads) each trial's column slice of such a
-# stacked GEMM had the bits of its own GEMM in every case tried. At 100^3 and
-# below, its small-matrix kernel sums in another order (128x400x10 differs),
-# and above it widths of 21-39 that are not multiples of 8 differed too.
+# The trials on a layer share one GEMM per chunk when it is a dense layer
+# whose one-trial GEMM, rows * in * out, is above STACK_MIN_GEMM and whose out
+# is a multiple of STACK_COLUMNS. On OpenBLAS 0.3.31 (AVX-512 kernels, 1 to 3
+# threads) each trial's column slice of such a stacked GEMM had the bits of its
+# own GEMM in every case tried. At 100^3 and below, its small-matrix kernel
+# sums in another order (128x400x10 differs), and above it widths of 21-39
+# that are not multiples of 8 differed too.
 STACK_MIN_GEMM = 1 << 20
 STACK_COLUMNS = 8
 # The bytes of stacked weights and outputs a chunk holds: ten trials of a
@@ -259,20 +259,21 @@ def propose_candidates(net: Network, layer: int, cfg: EvolutionConfig,
 
 def evaluate_candidate(student: Network, cand: CandidateSet,
                        teacher_outputs: np.ndarray, inputs: np.ndarray,
-                       spec: DivergenceSpec) -> float:
-    """Divergence of `student` on `inputs` with the candidate's indices
-    zeroed; nothing else is masked. The student is never modified: the
-    candidate's layer gets fresh tensors on a shallow copy."""
+                       spec: DivergenceSpec, start: int = 0) -> float:
+    """Divergence of `student`, run from layer `start` on `inputs` (that
+    layer's input), with the candidate's indices zeroed; nothing else is
+    masked. The student is never modified: the candidate's layer gets fresh
+    tensors on a shallow copy."""
     layer = student.layers[cand.layer]
     flat = layer.flat_params()
     flat[cand.indices] = 0.0
     scratch = student.replace_layer(cand.layer, layer.with_flat_params(flat))
-    return divergence(nn.forward(scratch, inputs), teacher_outputs, spec)
+    return divergence(nn.forward(scratch, inputs, start), teacher_outputs, spec)
 
 
 def stack_size(layer: nn.Layer, rows: int) -> int:
-    """Trials per stacked GEMM for candidates on `layer` as a tail's first
-    layer over `rows` input rows, or 0 when each trial runs on its own."""
+    """Trials per stacked GEMM for candidates on `layer` over `rows` input
+    rows, or 0 when each trial runs on its own."""
     if not isinstance(layer, nn.Dense):
         return 0
     n_in, n_out = layer.weights.shape
@@ -287,30 +288,25 @@ def evaluate_trials(student: Network, mask: SparsityMask,
                     workers: int = 1) -> np.ndarray:
     """Divergence per candidate, each zeroed on top of the mask; parallel
     execution is bit-identical to sequential because trials are independent
-    and results keep trial order.
+    and results keep trial order. The candidates must all be on one layer.
 
-    The mask is applied once, and the layers in front of the first candidate
-    layer run once on the probe: every trial evaluates only the tail of the
-    network from that layer on, with its candidate re-indexed to the tail.
-    The trials on the tail's first layer run in chunks of `stack_size` if it
-    is above 0, each chunk one GEMM; every other trial is `evaluate_candidate`."""
+    The mask is applied once, and the layers in front of the candidate layer
+    run once on the probe: every trial runs the masked student from that
+    layer on. When `stack_size` is above 0, the trials run in chunks of that
+    many, each chunk one GEMM; otherwise each trial is `evaluate_candidate`."""
+    layers = sorted({c.layer for c in candidates})
+    if len(layers) > 1:
+        raise ValueError(f"candidates on layers {layers}: one call evaluates one layer's")
+    start = layers[0] if layers else 0
     masked = apply_mask(student, mask)
-    front = min((c.layer for c in candidates), default=0)
-    acts = (nn.forward(Network(masked.layers[:front], masked.input_shape), probe.inputs)
-            if front else probe.inputs)
-    tail = Network(masked.layers[front:], acts.shape[1:])
-    tail_cands = ([CandidateSet(c.layer - front, c.indices) for c in candidates]
-                  if front else candidates)
-    rows = acts.shape[0]
-    per = stack_size(tail.layers[0], rows) if candidates else 0
-    stacks = [per > 0 and c.layer == 0 for c in tail_cands]
-    on_first = [i for i, s in enumerate(stacks) if s]
-    chunks = [on_first[lo:lo + per] for lo in range(0, len(on_first), per or 1)]
+    acts = (nn.forward(Network(masked.layers[:start], masked.input_shape), probe.inputs)
+            if start else probe.inputs)
+    first, rows = masked.layers[start], acts.shape[0]
+    per = stack_size(first, rows)
+    chunks = [candidates[lo:lo + (per or 1)] for lo in range(0, len(candidates), per or 1)]
     buffers = queue.SimpleQueue()  # one pair per chunk that can run at once
-    if chunks:
-        first = tail.layers[0]
+    if per:
         n_in, n_out = first.weights.shape
-        rest = Network(tail.layers[1:], (n_out,))
         for _ in range(min(max(workers, 1), len(chunks))):
             buffers.put((np.empty(n_in * per * n_out), np.empty(rows * per * n_out)))
 
@@ -325,8 +321,8 @@ def evaluate_trials(student: Network, mask: SparsityMask,
             w[...] = first.weights[:, None, :]
             bias = np.empty((k, n_out))
             bias[...] = first.bias
-            for t, i in enumerate(chunk):
-                idx = tail_cands[i].indices
+            for t, cand in enumerate(chunk):
+                idx = cand.indices
                 cut = np.searchsorted(idx, first.weights.size)
                 w[idx[:cut] // n_out, t, idx[:cut] % n_out] = 0.0
                 bias[t, idx[cut:] - first.weights.size] = 0.0
@@ -336,33 +332,26 @@ def evaluate_trials(student: Network, mask: SparsityMask,
             for t in range(k):
                 y = out[:, t]
                 y += bias[t]
-                if not np.isfinite(y).all():  # nn.forward's check on layer 0
+                if not np.isfinite(y).all():  # nn.forward's check on the layer
                     raise FloatingPointError(
-                        f"non-finite values produced by layer 0 ({first.kind})")
-                divs.append(divergence(nn.forward(rest, y), teacher_outputs, spec))
+                        f"non-finite values produced by layer {start} ({first.kind})")
+                divs.append(divergence(nn.forward(masked, y, start + 1), teacher_outputs,
+                                       spec))
             return divs
         finally:
             buffers.put((weights, outputs))
 
     def one_by_one(chunk):
-        return [evaluate_candidate(tail, tail_cands[i], teacher_outputs, acts, spec)
-                for i in chunk]
+        return [evaluate_candidate(masked, c, teacher_outputs, acts, spec, start)
+                for c in chunk]
 
-    tasks = [(stacked, c) for c in chunks]
-    tasks += [(one_by_one, [i]) for i, s in enumerate(stacks) if not s]
-
-    def run_task(task):
-        return task[0](task[1])
-
-    if workers <= 1 or len(tasks) < 2:
-        results = [run_task(t) for t in tasks]
+    task = stacked if per else one_by_one
+    if workers <= 1 or len(chunks) < 2:
+        results = [task(c) for c in chunks]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_task, tasks))
-    divs = np.empty(len(candidates), dtype=np.float64)
-    for (_, chunk), values in zip(tasks, results):
-        divs[chunk] = values
-    return divs
+            results = list(pool.map(task, chunks))
+    return np.array([d for divs in results for d in divs], dtype=np.float64)
 
 
 def select_and_commit(cycle: int, layer: int, candidates: Sequence[CandidateSet],

@@ -4,6 +4,9 @@ Supports dense and small convolutional classifiers: forward pass, exact
 analytic gradients, plain SGD, and a versioned binary serialization format
 ("DEVN"). Everything is seeded and bit-reproducible. Evaluation never modifies
 a network; `sgd_step` updates the parameter arrays of the network it is given.
+`forward(net, x, start)` runs the layers from `start` on, `x` being that
+layer's input, and its errors name layers by their index in `net`: this is
+how a suffix of a network is run, with no sub-network built.
 
 This module owns the layer-flat parameter layout: `Layer.flat_params` lays a
 layer's parameter tensors end to end in declared order, each row-major, and
@@ -495,14 +498,15 @@ class Network:
 
     def __post_init__(self):
         self.input_shape = tuple(int(d) for d in self.input_shape)
-        # validate that layer shapes compose
-        shape = self.input_shape
+        # validate that layer shapes compose: shapes[i] is layer i's input
+        # shape, and shapes[-1] the output shape
+        self.shapes = [self.input_shape]
         for i, layer in enumerate(self.layers):
             try:
-                shape = layer.out_shape(shape)
+                self.shapes.append(layer.out_shape(self.shapes[-1]))
             except ShapeError as e:
                 raise ShapeError(f"layer {i} ({layer.kind}): {e}") from None
-        self.output_shape = shape
+        self.output_shape = self.shapes[-1]
 
     def param_tensors(self) -> list[np.ndarray]:
         """Every parameter tensor, layer by layer (the order of gradients)."""
@@ -528,20 +532,22 @@ class Network:
         return Network(layers, self.input_shape)
 
 
-def _forward_with_ctx(net: Network, inputs: np.ndarray, keep: bool = True):
-    """(outputs, one ctx per layer). With keep=False no ctx is kept, and a
+def _forward_with_ctx(net: Network, inputs: np.ndarray, keep: bool = True, start: int = 0):
+    """(outputs, one ctx per layer run) of the layers from `start` on, with
+    `inputs` the input of layer `start`. With keep=False no ctx is kept, and a
     layer may overwrite its input unless that shares memory with `inputs`, so
     a ReLU after a conv holds one batch-sized array, not two. Two at once grew
     the heap past glibc's trim threshold on every trial of a conv layer, and
     each trial faulted about 3 MiB back in."""
+    if not 0 <= start <= len(net.layers):
+        raise ValueError(f"start {start} is outside [0, {len(net.layers)}]")
     first = x = np.asarray(inputs, dtype=np.float64)
-    if x.shape[1:] != net.input_shape:
-        raise ShapeError(
-            f"batch shape {x.shape[1:]} does not match network input "
-            f"shape {net.input_shape}"
-        )
+    if x.shape[1:] != net.shapes[start]:
+        where = f"layer {start} input" if start else "network input"
+        raise ShapeError(f"batch shape {x.shape[1:]} does not match {where} "
+                         f"shape {net.shapes[start]}")
     ctxs = []
-    for i, layer in enumerate(net.layers):
+    for i, layer in enumerate(net.layers[start:], start):
         try:
             if keep:
                 x, ctx = layer.apply(x)
@@ -557,9 +563,11 @@ def _forward_with_ctx(net: Network, inputs: np.ndarray, keep: bool = True):
     return x, ctxs
 
 
-def forward(net: Network, inputs: np.ndarray) -> np.ndarray:
-    """Run the network on a stack of inputs; `inputs` is never modified."""
-    return _forward_with_ctx(net, inputs, keep=False)[0]
+def forward(net: Network, inputs: np.ndarray, start: int = 0) -> np.ndarray:
+    """Run the layers from `start` on a stack of inputs to layer `start` (by
+    default the whole network on its inputs); `inputs` is never modified.
+    Errors name layers by their index in `net`."""
+    return _forward_with_ctx(net, inputs, keep=False, start=start)[0]
 
 
 def value_and_grads(net: Network, inputs: np.ndarray, loss):

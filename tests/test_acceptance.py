@@ -49,8 +49,8 @@ def world(tmp_path_factory):
     """Shared data, teacher, and artifact paths for criteria 6-9."""
     pool = datasets.synthetic_dataset("blobs", 6144, 10, seed=7,
                                       feature_dim=784, separation=SEPARATION)
-    train = datasets.ProbeSet(pool.inputs[:4096], pool.labels[:4096], "train")
-    heldout = datasets.ProbeSet(pool.inputs[4096:], pool.labels[4096:], "heldout")
+    train = datasets.ProbeSet(pool.inputs[:4096], pool.labels[:4096])
+    heldout = datasets.ProbeSet(pool.inputs[4096:], pool.labels[4096:])
     teacher = nn.build_network(ARCH_32, 1)
     rng = np.random.default_rng(np.random.SeedSequence([99, 0x7EA1]))
     for _ in range(8):

@@ -358,6 +358,31 @@ class TestExitCodes:
         assert "layer 0" in capsys.readouterr().err
         assert not (tmp_path / "model.devp").exists()
 
+    @pytest.mark.parametrize("fault", ["shifted", "parameterless"])
+    def test_pack_refuses_weights_off_their_tables(self, tmp_path, capsys, pipeline_files,
+                                                   fault):
+        # a quantized model whose survivors moved off their levels, or a
+        # table for a layer without parameters, would pack to another model
+        for name, data in pipeline_files.items():
+            (tmp_path / name).write_bytes(data)
+        path, _ = pipeline_config(tmp_path)
+        if fault == "shifted":
+            qnet = nn.load_network(str(tmp_path / "quantized.devn"))
+            mask = sparsity.load_mask(str(tmp_path / "mask.devm"))
+            flat = qnet.layers[0].flat_params()
+            flat[~mask.layer_bits(0)] += 0.01
+            qnet = qnet.replace_layer(0, qnet.layers[0].with_flat_params(flat))
+            nn.save_network(qnet, str(tmp_path / "quantized.devn"))
+            message = "layer 0's surviving weights are not all levels"
+        else:
+            luts = json.loads((tmp_path / "luts.json").read_text())
+            luts["layers"].append({**luts["layers"][0], "layer": 1})
+            (tmp_path / "luts.json").write_text(json.dumps(luts))
+            message = "table for layer 1, which has no parameters"
+        assert main(["pack", "--config", str(path)]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "model.devp").exists()
+
     def test_a_luts_serialization_error_leaves_no_output(self, tmp_path, monkeypatch,
                                                          capsys, pipeline_files):
         for name in ("teacher.devn", "student.devn", "mask.devm"):

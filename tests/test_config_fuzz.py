@@ -27,6 +27,16 @@ from devolve import cli, evolution, nn
 from helpers import config_keys
 
 N_SAMPLES = 60
+
+
+class Huge(int):
+    """An integer too large for a float, named so in test ids."""
+
+    def __repr__(self):
+        return "10**400"
+
+
+HUGE = Huge(10 ** 400)
 BASE = {
     "master_seed": 5,
     "model": {"architecture": {"input_shape": [4], "layers": [
@@ -155,6 +165,12 @@ BOUNDARY = [
      "layer 1 (max_pool): stride must be an integer in [1, 255], got 256"),
     ("model.architecture.input_shape", [4.7], "input_shape[0] must be an integer >= 1"),
     ("model.architecture.layers", [], "invalid model.architecture: ValueError layers is empty"),
+    # an integer too large for a float (`huge_cases` has the other keys)
+    ("data.probe.size", HUGE, "data.probe.size"),
+    ("divergence", {"heads": [{"start": 0, "stop": 3, "divisor": HUGE}]},
+     "divergence.heads[0].divisor"),
+    ("divergence", {"heads": [{"start": 0, "stop": 3, "weight": HUGE}]},
+     "divergence.heads[0].weight"),
 ]
 # optimal_density's widest tables; each level solve takes seconds
 SLOW_BOUNDARY = [("quantization", {"scheme": "optimal_density", "bits": 10}, None)]
@@ -193,6 +209,24 @@ def range_cases():
                       (field, math.inf, field)]
     written = {(field, repr(value)) for field, value, _ in BOUNDARY}
     return [case for case in cases if (case[0], repr(case[1])) not in written]
+
+
+def huge_cases():
+    """(field, HUGE, expected) for each number key, which must exit 1 naming
+    the key, and for each int key with a range, which takes any integer in
+    it. BOUNDARY has data.probe.size and the head keys; train.epochs is left
+    out, because that many epochs is a run that does not end, not an error."""
+    cases = []
+    for field, key in config_keys():
+        if ("<" in field or "[" in field or field.startswith(FILE_FIELDS)
+                or field in ("data.probe.size", "train.epochs")):
+            continue
+        kinds = key.kind if isinstance(key.kind, tuple) else (key.kind,)
+        if float in kinds:
+            cases.append((field, HUGE, field))
+        elif int in kinds and key.low is not None:
+            cases.append((field, HUGE, None))
+    return cases
 
 
 def seeded_cases(seed=0):
@@ -258,7 +292,7 @@ def params(cases, marks=()):
 
 
 @pytest.mark.parametrize("field,value,expected",
-                         params(BOUNDARY) + params(range_cases())
+                         params(BOUNDARY) + params(range_cases()) + params(huge_cases())
                          + params(SLOW_BOUNDARY, pytest.mark.slow))
 def test_boundary_values(tmp_path, work, capsys, field, value, expected):
     codes, err = run_pipeline(tmp_path, field, value, work, capsys)

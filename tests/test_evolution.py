@@ -346,37 +346,37 @@ class TestEvaluate:
             sys.setswitchinterval(interval)
         assert got.tobytes() == expected.tobytes()
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_mixed_layers_keep_trial_order(self, workers, monkeypatch):
-        # layer 0's trials are stacked, layer 3's (below the gate) run one by one
+    def test_candidates_on_two_layers_raise(self):
         net = wide_teacher(1)
         probe = wide_probe()
-        tout = nn.forward(wide_teacher(2), probe.inputs)
-        spec = DivergenceSpec.whole_output(3)
-        cfg = EvolutionConfig(trials_per_cycle=4, step_fraction=0.05, master_seed=3)
-        assert evolution.stack_size(net.layers[3], probe.size) == 0
-        cands = [c for pair in zip(propose_candidates(net, 0, cfg, 0),
-                                   propose_candidates(net, 3, cfg, 0)) for c in pair]
-        expected = [evaluate_candidate(net, c, tout, probe.inputs, spec) for c in cands]
-        calls = count_calls(monkeypatch, evolution, "evaluate_candidate")
-        got = evaluate_trials(net, SparsityMask.empty(net), cands, tout, probe, spec, workers)
-        assert len(calls) == 4
-        assert got.tobytes() == np.asarray(expected).tobytes()
+        cfg = EvolutionConfig(trials_per_cycle=2, step_fraction=0.05, master_seed=3)
+        cands = propose_candidates(net, 0, cfg, 0) + propose_candidates(net, 3, cfg, 0)
+        with pytest.raises(ValueError, match=r"candidates on layers \[0, 3\]"):
+            evaluate_trials(net, SparsityMask.empty(net), cands, np.zeros((probe.size, 3)),
+                            probe, DivergenceSpec.whole_output(3))
 
     def test_stacked_non_finite_raises_as_forward(self):
-        net = wide_teacher(1)
-        net = net.replace_layer(0, nn.Dense(net.layers[0].weights * 1e308, net.layers[0].bias))
+        # (candidate layer, faulty layer): layer 0's trials are stacked, layer
+        # 2's are stacked behind a front, and layer 3's (below the gate) run
+        # one by one; the fault is at the candidate layer, behind it or in front
         probe = wide_probe()
-        assert evolution.stack_size(net.layers[0], probe.size) > 0
         cfg = EvolutionConfig(trials_per_cycle=4, step_fraction=0.05, master_seed=3)
-        cands = propose_candidates(net, 0, cfg, 0)
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(FloatingPointError) as want:
-                nn.forward(net, probe.inputs)
-            with pytest.raises(FloatingPointError) as got:
-                evaluate_trials(net, SparsityMask.empty(net), cands, np.zeros((probe.size, 3)),
-                                probe, DivergenceSpec.whole_output(3))
-        assert str(got.value) == str(want.value) == "non-finite values produced by layer 0 (dense)"
+        for layer, fault in ((0, 0), (0, 3), (2, 2), (2, 3), (3, 3), (3, 0)):
+            net = wide_teacher(1)
+            faulty = net.layers[fault]
+            net = net.replace_layer(fault, nn.Dense(faulty.weights * 1e308, faulty.bias))
+            assert (evolution.stack_size(net.layers[layer], probe.size) > 0) == (layer < 3)
+            cands = propose_candidates(net, layer, cfg, 0)
+            trial = apply_mask(net, merge(SparsityMask.empty(net), cands[0]))
+            with np.errstate(over="ignore", invalid="ignore"):
+                with pytest.raises(FloatingPointError) as want:
+                    nn.forward(trial, probe.inputs)
+                with pytest.raises(FloatingPointError) as got:
+                    evaluate_trials(net, SparsityMask.empty(net), cands,
+                                    np.zeros((probe.size, 3)), probe,
+                                    DivergenceSpec.whole_output(3))
+            assert str(got.value) == str(want.value) == (
+                f"non-finite values produced by layer {fault} (dense)"), (layer, fault)
 
 
 # Run in a fresh process, so that the BLAS thread count in its environment

@@ -116,6 +116,33 @@ class TestForward:
             Network([Dense(np.eye(2), np.zeros(2)), Dense(np.eye(3), np.zeros(3))],
                     (2,))
 
+    def test_forward_from_a_layer_runs_the_rest(self):
+        # from each layer's input, the rest of the pass has the whole pass's
+        # bits; its own inputs are left alone
+        net = nn.build_network(CONV_ARCH, 4)
+        x = np.random.default_rng(6).normal(size=(5, 6, 6, 1))
+        whole = nn.forward(net, x)
+        for start in range(len(net.layers) + 1):
+            acts = nn.forward(Network(net.layers[:start], net.input_shape), x)
+            before = acts.copy()
+            assert nn.forward(net, acts, start).tobytes() == whole.tobytes()
+            assert acts.tobytes() == before.tobytes()
+            assert net.shapes[start] == acts.shape[1:]
+        with pytest.raises(ShapeError, match=r"does not match layer 3 input shape \(3, 3, 2\)"):
+            nn.forward(net, x, 3)
+        for start in (-1, len(net.layers) + 1):
+            with pytest.raises(ValueError, match="outside"):
+                nn.forward(net, x, start)
+
+    def test_non_finite_from_a_layer_names_it_in_the_network(self):
+        net = small_net(seed=3)
+        net = net.replace_layer(2, Dense(np.full((5, 3), np.inf), np.zeros(3)))
+        x = np.random.default_rng(1).normal(size=(4, 6))
+        acts = nn.forward(Network(net.layers[:1], net.input_shape), x)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(FloatingPointError, match=r"^non-finite .* layer 2 \(dense\)$"):
+                nn.forward(net, acts, 1)
+
     def test_determinism(self):
         net = small_net(seed=3)
         x = np.random.default_rng(1).normal(size=(4, 6))
