@@ -257,8 +257,8 @@ def _require(config: dict, section: str, key: str):
 # ---------------------------------------------------------------------------
 
 def _build_dataset(config: dict, input_shape) -> datasets.ProbeSet:
-    """The configured dataset with its inputs shaped to `input_shape`, the
-    network's, so IDX images [n,28,28] fit both [784] and [28,28,1]."""
+    """The configured dataset, labels included, its inputs shaped to the
+    network's `input_shape`, so IDX images [n,28,28] fit [784] and [28,28,1]."""
     data = config["data"]
     if data["synthetic"] is not None:
         dataset = datasets.synthetic_dataset(**data["synthetic"])
@@ -337,15 +337,15 @@ def cmd_train(config: dict) -> int:
     epochs = _require(config, "train", "epochs")
     lr, bs = config["train"]["lr"], config["train"]["batch_size"]
     path = _require(config, "output", "model")
-    n = dataset.size
     for epoch in range(epochs):
         rng = np.random.default_rng(
             np.random.SeedSequence([config["master_seed"], 0x7EA1, epoch]))
-        order = rng.permutation(n)
-        for lo in range(0, n, bs):
+        order = rng.permutation(dataset.size)
+        for lo in range(0, dataset.size, bs):
             idx = order[lo:lo + bs]
-            batch = nn.Batch(dataset.inputs[idx], dataset.labels[idx])
-            grads = nn.backward(net, batch, "cross_entropy")
+            labels = dataset.labels[idx]
+            _, grads = nn.value_and_grads(
+                net, dataset.inputs[idx], lambda out: nn.cross_entropy_loss(out, labels))
             nn.sgd_step(net, grads, lr)
     acc = nn.accuracy(net, dataset)  # raises before a blown-up model is saved
     nn.save_network(net, path)
@@ -367,12 +367,12 @@ def cmd_sparsify(config: dict) -> int:
     sparsity.save_mask(result.mask, mask_path)
     evolution.write_history(result.history, history_path)
     print(f"status {result.status}")
-    print(f"cycles {len(result.history)}")
+    print(f"cycles {result.history[-1].cycle + 1 if result.history else 0}")
+    print(f"sweeps {len(result.history)}")
     print(f"sparsity {sparsity.sparsity(result.mask):.6f}")
     print(f"divergence {result.final_divergence:.6e}")
-    if dataset.labels is not None:
-        print(f"teacher_accuracy {nn.accuracy(teacher, dataset):.4f}")
-        print(f"student_accuracy {nn.accuracy(result.student, dataset):.4f}")
+    print(f"teacher_accuracy {nn.accuracy(teacher, dataset):.4f}")
+    print(f"student_accuracy {nn.accuracy(result.student, dataset):.4f}")
     return 0
 
 
@@ -399,7 +399,7 @@ def cmd_quantize(config: dict) -> int:
         student, mask,
         scheme=q["scheme"], bits=q["bits"], rounding=q["rounding"], seed=q["seed"],
         per_layer=q["per_layer"],
-        dataset=dataset if dataset.labels is not None else None,
+        dataset=dataset,
         teacher_outputs=teacher_outputs, probe=probe, div_spec=div_spec,
     )
     luts = {"layers": [
@@ -460,8 +460,7 @@ def cmd_unpack(config: dict) -> int:
 def cmd_eval(config: dict) -> int:
     net = nn.load_network(_require(config, "eval", "model"))
     dataset = _build_dataset(config, net.input_shape)
-    if dataset.labels is not None:
-        print(f"accuracy {nn.accuracy(net, dataset):.6f}")
+    print(f"accuracy {nn.accuracy(net, dataset):.6f}")
     teacher_path = config["eval"]["teacher"]
     if teacher_path:
         teacher = nn.load_network(teacher_path)

@@ -102,7 +102,8 @@ def load_idx_dataset(images_path: str, labels_path: str) -> ProbeSet:
 
 
 def _balanced_labels(n: int, classes: int) -> np.ndarray:
-    counts = [n // classes + (1 if c < n % classes else 0) for c in range(classes)]
+    counts = np.full(classes, n // classes)
+    counts[:n % classes] += 1
     return np.repeat(np.arange(classes), counts)
 
 
@@ -111,6 +112,9 @@ def check_synthetic(kind: str, n: int, classes: int, feature_dim: int,
     """Raises ValueError unless synthetic_dataset can build these arguments."""
     if kind not in ("blobs", "rings"):
         raise ValueError(f"unknown synthetic kind {kind!r}")
+    for name, count in (("n", n), ("classes", classes), ("feature_dim", feature_dim)):
+        if count > np.iinfo(np.int64).max:
+            raise ValueError(f"{name} must be at most 2**63 - 1, the largest array size")
     if classes < 1:
         raise ValueError(f"classes must be >= 1, got {classes}")
     if n < classes:

@@ -8,6 +8,11 @@ a network; `sgd_step` updates the parameter arrays of the network it is given.
 layer's input, and its errors name layers by their index in `net`: this is
 how a suffix of a network is run, with no sub-network built.
 
+Gradients have one entry point, `value_and_grads(net, x, loss)`: training
+passes `cross_entropy_loss`, retraining `evolution.divergence_grad`. `Batch`
+and `backward` wrap it for cross-entropy only, and are kept only until
+`perfbench/workloads.py`, which calls them, calls `value_and_grads`.
+
 This module owns the layer-flat parameter layout: `Layer.flat_params` lays a
 layer's parameter tensors end to end in declared order, each row-major, and
 `Layer.with_flat_params` / `unflatten` invert it. DEVM mask bitsets, candidate
@@ -40,8 +45,6 @@ from .binio import FormatError, Reader, Writer, guard, write_file
 
 MAGIC = b"DEVN"
 FORMAT_VERSION = 2
-
-LOSS_KINDS = ("mse", "cross_entropy")
 
 # Rows of the im2col matrix built at a time (one row per output pixel). A
 # Conv2D builds its patch matrix over batch slices of at most this many rows,
@@ -468,27 +471,10 @@ _BY_TAG = {cls.tag: cls for cls in LAYER_KINDS.values()}
 
 @dataclass
 class Batch:
-    """A stack of inputs with optional targets (class indices or reference
-    outputs)."""
+    """Inputs and their class labels, for `backward`."""
 
     inputs: np.ndarray
-    targets: Optional[np.ndarray] = None
-
-    def __post_init__(self):
-        self.inputs = np.asarray(self.inputs, dtype=np.float64)
-        if self.inputs.shape[0] < 1:
-            raise ValueError("batch must contain at least one sample")
-        if self.targets is not None:
-            self.targets = np.asarray(self.targets)
-            if self.targets.shape[0] != self.inputs.shape[0]:
-                raise ValueError(
-                    f"target count {self.targets.shape[0]} does not match "
-                    f"batch size {self.inputs.shape[0]}"
-                )
-
-    @property
-    def size(self) -> int:
-        return self.inputs.shape[0]
+    targets: np.ndarray
 
 
 @dataclass
@@ -586,17 +572,6 @@ def value_and_grads(net: Network, inputs: np.ndarray, loss):
     return value, [t for pg in grads for t in pg]
 
 
-def mse_loss(outputs: np.ndarray, targets: np.ndarray):
-    """Mean over batch and output elements; returns (value, d/d_outputs)."""
-    targets = np.asarray(targets, dtype=np.float64)
-    if outputs.shape != targets.shape:
-        raise ShapeError(
-            f"mse targets shape {targets.shape} != outputs shape {outputs.shape}"
-        )
-    diff = outputs - targets
-    return float(np.mean(diff * diff)), 2.0 * diff / diff.size
-
-
 def cross_entropy_loss(outputs: np.ndarray, labels: np.ndarray):
     """Negative log likelihood of integer labels; outputs must be probabilities
     (network ends with a softmax layer). Returns (value, d/d_outputs)."""
@@ -610,18 +585,11 @@ def cross_entropy_loss(outputs: np.ndarray, labels: np.ndarray):
     return float(-np.mean(np.log(p))), grad
 
 
-def loss_and_grads(net: Network, batch: Batch, loss_kind: str):
-    if loss_kind not in LOSS_KINDS:
-        raise ValueError(f"unknown loss kind {loss_kind!r}")
-    if batch.targets is None:
-        raise ValueError(f"{loss_kind} loss requires batch targets")
-    loss = mse_loss if loss_kind == "mse" else cross_entropy_loss
-    return value_and_grads(net, batch.inputs, lambda out: loss(out, batch.targets))
-
-
 def backward(net: Network, batch: Batch, loss_kind: str) -> list[np.ndarray]:
-    """Gradients of the batch loss, one array per parameter tensor."""
-    return loss_and_grads(net, batch, loss_kind)[1]
+    """Cross-entropy gradients of `batch` by `value_and_grads`; other kinds raise."""
+    if loss_kind != "cross_entropy":
+        raise ValueError(f"unknown loss kind {loss_kind!r}")
+    return value_and_grads(net, batch.inputs, lambda o: cross_entropy_loss(o, batch.targets))[1]
 
 
 def sgd_step(net: Network, grads: Sequence[np.ndarray], lr: float) -> Network:
@@ -642,17 +610,11 @@ def sgd_step(net: Network, grads: Sequence[np.ndarray], lr: float) -> Network:
 
 
 def accuracy(net: Network, dataset) -> float:
-    """Fraction of argmax-correct predictions (ties to the lowest class)."""
-    inputs = getattr(dataset, "inputs", None)
-    labels = getattr(dataset, "labels", None)
-    if labels is None:
-        labels = getattr(dataset, "targets", None)
-    if inputs is None or labels is None:
-        raise ValueError("accuracy requires a dataset with inputs and labels")
-    if len(inputs) == 0:
-        raise ValueError("accuracy on an empty dataset")
-    preds = forward(net, np.asarray(inputs)).argmax(axis=1)
-    return float(np.mean(preds == np.asarray(labels)))
+    """Fraction of argmax-correct predictions on a `ProbeSet` (ties to the lowest class)."""
+    if dataset.labels is None:
+        raise ValueError("accuracy requires a dataset with labels")
+    preds = forward(net, dataset.inputs).argmax(axis=1)
+    return float(np.mean(preds == dataset.labels))
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,10 @@
 """Shared test helpers: reference densities, a small trained teacher,
-one-layer nets for the layer-flat parameter layout, and a walk over the
-command line's config table."""
+one-layer nets for the layer-flat parameter layout, losses for
+`nn.value_and_grads` and a walk over the command line's config table."""
 
 import numpy as np
 
-from devolve import cli, datasets, nn
+from devolve import cli, datasets, evolution, nn
 from devolve.quantize import Density
 
 BLOBS_ARCH = {"input_shape": [784], "layers": [
@@ -50,10 +50,23 @@ def train_blobs_teacher(seed=1, data_seed=7, n=2048, epochs=8, lr=0.2):
         order = rng.permutation(ds.size)
         for lo in range(0, ds.size, 64):
             idx = order[lo:lo + 64]
-            batch = nn.Batch(ds.inputs[idx], ds.labels[idx])
-            grads = nn.backward(net, batch, "cross_entropy")
+            _, grads = nn.value_and_grads(net, ds.inputs[idx], cross_entropy(ds.labels[idx]))
             net = nn.sgd_step(net, grads, lr)
     return net, ds
+
+
+def cross_entropy(labels):
+    """`loss(outputs)` for `nn.value_and_grads`: the cross-entropy of
+    `labels`, as `devolve train` trains."""
+    return lambda out: nn.cross_entropy_loss(out, labels)
+
+
+def mse(targets):
+    """`loss(outputs)` for `nn.value_and_grads`: the mean squared error to
+    `targets` [n, width] and its gradient, `evolution.divergence_grad` on the
+    whole output."""
+    spec = evolution.DivergenceSpec.whole_output(targets.shape[1])
+    return lambda out: evolution.divergence_grad(out, targets, spec)
 
 
 LAYOUT_KINDS = ("dense", "conv2d")

@@ -19,9 +19,10 @@ from devolve import nn
 # Finite-difference gradients
 # ---------------------------------------------------------------------------
 
-def numerical_gradients(net, batch, loss_kind, h=1e-5):
-    """Central-difference gradient of a batch loss for every parameter tensor."""
-    return central_differences(net, lambda: nn.loss_and_grads(net, batch, loss_kind)[0], h)
+def numerical_gradients(net, x, loss, h=1e-5):
+    """Central-difference gradient of `loss(outputs)[0]` on `x` for every
+    parameter tensor; only forward passes, no backward pass, are run."""
+    return central_differences(net, lambda: loss(nn.forward(net, x))[0], h)
 
 
 def central_differences(net, loss, h=1e-5):

@@ -20,7 +20,7 @@ from devolve.quantize import (dequantize, optimal_levels, placement_residual,
                               quantization_error, uniform_density,
                               uniform_levels)
 
-from helpers import bimodal_density, sampled_density, tent_density
+from helpers import bimodal_density, cross_entropy, sampled_density, tent_density
 from oracles import brute_force_two_bit
 
 SEPARATION = 10.0
@@ -57,9 +57,9 @@ def world(tmp_path_factory):
         order = rng.permutation(train.size)
         for lo in range(0, train.size, 64):
             idx = order[lo:lo + 64]
-            batch = nn.Batch(train.inputs[idx], train.labels[idx])
-            teacher = nn.sgd_step(teacher, nn.backward(teacher, batch,
-                                                       "cross_entropy"), 0.2)
+            _, grads = nn.value_and_grads(
+                teacher, train.inputs[idx], cross_entropy(train.labels[idx]))
+            teacher = nn.sgd_step(teacher, grads, 0.2)
     return {
         "dir": tmp_path_factory.mktemp("acceptance"),
         "train": train,

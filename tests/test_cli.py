@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import re
 from pathlib import Path
@@ -11,6 +12,11 @@ from devolve.cli import (ConfigError, _evolution_config, apply_overrides, load_c
                          main, validate_config)
 
 from helpers import config_keys
+
+
+def printed(out, name):
+    """The integer a command printed on its `name` line."""
+    return int([l for l in out.splitlines() if l.startswith(name + " ")][0].split()[1])
 
 
 def pipeline_config(tmp_path, **extra):
@@ -501,11 +507,39 @@ class TestPipeline:
         path, _ = pipeline_config(tmp_path)
         main(["train", "--config", str(path)])
         main(["sparsify", "--config", str(path)])
-        out = capsys.readouterr().out
-        cycles = int([l for l in out.splitlines()
-                      if l.startswith("cycles")][0].split()[1])
+        sweeps = printed(capsys.readouterr().out, "sweeps")
         rows = (tmp_path / "history.csv").read_text().splitlines()
-        assert len(rows) - 1 == cycles
+        assert len(rows) - 1 == sweeps
+
+    def test_sparsify_and_report_count_the_same_cycles(self, tmp_path, capsys):
+        # two layers: each cycle writes one history row per pending layer
+        path, _ = pipeline_config(tmp_path)
+        main(["train", "--config", str(path)])
+        assert main(["sparsify", "--config", str(path), "--set", "de.scope=[0, 2]"]) == 0
+        out = capsys.readouterr().out
+        cycles, sweeps = printed(out, "cycles"), printed(out, "sweeps")
+        assert main(["report", "--config", str(path)]) == 0
+        assert printed(capsys.readouterr().out, "cycles") == cycles
+        assert cycles < sweeps <= 2 * cycles
+
+    # sha256 of teacher.devn. Every GEMM contracts over at most 256 terms
+    # (input width, batch size, batch x output pixels for the conv), so the
+    # bytes do not depend on the BLAS thread count.
+    TEACHER_DIGESTS = {
+        "dense": "616daee9d11a349b597d2e5eed69402786bc21805c1a8b39fa695cd68ed855e8",
+        "conv": "507a656d20213398ad8c30b31c2db0fc60144731091ed86e4e787649435bad09",
+    }
+
+    @pytest.mark.parametrize("arch", sorted(TEACHER_DIGESTS))
+    def test_train_writes_the_pinned_bytes(self, tmp_path, capsys, arch):
+        _, cfg = pipeline_config(tmp_path)
+        if arch == "conv":
+            cfg["model"]["architecture"] = CONV_ARCH
+            cfg["data"]["synthetic"].update(feature_dim=64, separation=8.0)
+            cfg["train"].update(batch_size=4, epochs=2)  # 4 x 64 pixels = 256 rows
+        assert main(["train", "--config", str(write_config(tmp_path, cfg))]) == 0
+        digest = hashlib.sha256((tmp_path / "teacher.devn").read_bytes()).hexdigest()
+        assert digest == self.TEACHER_DIGESTS[arch]
 
     def test_set_override_changes_behavior(self, tmp_path, capsys):
         path, _ = pipeline_config(tmp_path)

@@ -167,6 +167,9 @@ BOUNDARY = [
     ("model.architecture.layers", [], "invalid model.architecture: ValueError layers is empty"),
     # an integer too large for a float (`huge_cases` has the other keys)
     ("data.probe.size", HUGE, "data.probe.size"),
+    # a count no array can hold
+    *[(f"data.synthetic.{key}", value, "data.synthetic")
+      for key in ("n", "classes", "feature_dim") for value in (HUGE, 2 ** 63)],
     ("divergence", {"heads": [{"start": 0, "stop": 3, "divisor": HUGE}]},
      "divergence.heads[0].divisor"),
     ("divergence", {"heads": [{"start": 0, "stop": 3, "weight": HUGE}]},

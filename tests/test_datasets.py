@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from devolve import datasets
 from devolve.datasets import ProbeSet, parse_idx, serialize_idx, subset
+from helpers import cross_entropy
 
 
 class TestIdxParsing:
@@ -99,6 +100,26 @@ class TestSynthetic:
         with pytest.raises(ValueError, match="kind"):
             datasets.synthetic_dataset("spirals", 10, 2, seed=0)
 
+    @pytest.mark.parametrize("key", ["n", "classes", "feature_dim"])
+    @pytest.mark.parametrize("count", [2 ** 63, 10 ** 400], ids=["2**63", "10**400"])
+    def test_counts_above_int64_are_refused(self, key, count):
+        args = {"n": 60, "classes": 3, "feature_dim": 4, key: count}
+        with pytest.raises(ValueError, match=f"{key} must be at most 2\\*\\*63 - 1"):
+            datasets.synthetic_dataset("blobs", seed=0, **args)
+
+    def test_balanced_labels_match_the_loop(self):
+        for n in range(1, 25):
+            for classes in range(1, n + 1):
+                counts = [n // classes + (1 if c < n % classes else 0)
+                          for c in range(classes)]
+                want = [c for c in range(classes) for _ in range(counts[c])]
+                assert datasets._balanced_labels(n, classes).tolist() == want
+
+    def test_labels_too_many_for_memory_fail_at_once(self):
+        # 2**62 classes fit int64, so only the label counts' allocation fails
+        with pytest.raises((ValueError, MemoryError)):
+            datasets.synthetic_dataset("blobs", 2 ** 62, 2 ** 62, seed=0)
+
     def test_rings_need_nonlinearity(self):
         # a linear probe cannot separate concentric rings
         from devolve import nn
@@ -106,8 +127,7 @@ class TestSynthetic:
         linear = nn.build_network({"input_shape": [2], "layers": [
             {"kind": "dense", "units": 2}, {"kind": "softmax"}]}, 0)
         for _ in range(80):
-            grads = nn.backward(linear, nn.Batch(ds.inputs, ds.labels),
-                                "cross_entropy")
+            _, grads = nn.value_and_grads(linear, ds.inputs, cross_entropy(ds.labels))
             linear = nn.sgd_step(linear, grads, 0.3)
         assert nn.accuracy(linear, ds) < 0.75
 

@@ -9,9 +9,9 @@ from hypothesis import given, strategies as st
 
 from devolve import evolution, nn
 from devolve.datasets import ProbeSet
-from devolve.nn import (Batch, Conv2D, Dense, LeakyReLU, MaxPool2D, Network,
-                        ReLU, ShapeError, Softmax)
-from helpers import LAYOUT_KINDS, layout_net
+from devolve.nn import (Conv2D, Dense, LeakyReLU, MaxPool2D, Network, ReLU, ShapeError,
+                        Softmax)
+from helpers import LAYOUT_KINDS, cross_entropy, layout_net, mse
 from oracles import (assert_gradients_close, conv2d_direct, max_pool_direct,
                      numerical_gradients)
 
@@ -195,8 +195,7 @@ class TestBackward:
     def test_zero_loss_zero_grads(self):
         net = Network([Dense(np.eye(2), np.zeros(2))], (2,))
         x = np.array([[1.0, 2.0]])
-        batch = Batch(x, nn.forward(net, x))
-        for g in nn.backward(net, batch, "mse"):
+        for g in nn.value_and_grads(net, x, mse(nn.forward(net, x)))[1]:
             np.testing.assert_array_equal(g, 0.0)
 
     def test_single_neuron_closed_form(self):
@@ -206,52 +205,28 @@ class TestBackward:
         x = np.array([[1.0, 2.0], [3.0, -1.0]])
         y = np.array([[0.0], [1.0]])
         yhat = nn.forward(net, x)
-        grads = nn.backward(net, Batch(x, y), "mse")
+        _, grads = nn.value_and_grads(net, x, mse(y))
         expected_w = (2.0 * (yhat - y) * x).mean(axis=0).reshape(2, 1)
         np.testing.assert_allclose(grads[0], expected_w, atol=1e-12)
         np.testing.assert_allclose(grads[1], (2.0 * (yhat - y)).mean(axis=0),
                                    atol=1e-12)
 
-    def test_missing_targets(self):
-        net = small_net()
-        with pytest.raises(ValueError, match="targets"):
-            nn.backward(net, Batch(np.zeros((1, 6))), "mse")
-
     def test_three_layer_finite_difference(self, rng):
         net = small_net(seed=11)
         x = rng.normal(size=(4, 6))
-        batch = Batch(x, rng.integers(0, 3, size=4))
-        analytic = nn.backward(net, batch, "cross_entropy")
-        numeric = numerical_gradients(net, batch, "cross_entropy")
-        assert_gradients_close(analytic, numeric)
+        loss = cross_entropy(rng.integers(0, 3, size=4))
+        analytic = nn.value_and_grads(net, x, loss)[1]
+        assert_gradients_close(analytic, numerical_gradients(net, x, loss))
 
     @pytest.mark.parametrize("seed", range(20))
     def test_gradcheck_all_layer_kinds(self, seed):
         rng = np.random.default_rng(seed)
         net = nn.build_network(CONV_ARCH, seed)
         x = rng.normal(size=(2, 6, 6, 1))
-        for loss_kind, targets in (
-            ("mse", rng.normal(size=(2, 3))),
-            ("cross_entropy", rng.integers(0, 3, size=2)),
-        ):
-            batch = Batch(x, targets)
-            analytic = nn.backward(net, batch, loss_kind)
-            numeric = numerical_gradients(net, batch, loss_kind)
+        for loss in (mse(rng.normal(size=(2, 3))), cross_entropy(rng.integers(0, 3, size=2))):
+            analytic = nn.value_and_grads(net, x, loss)[1]
+            numeric = numerical_gradients(net, x, loss)
             assert_gradients_close(analytic, numeric)
-
-    def test_value_and_grads_is_loss_and_grads(self, rng):
-        net = nn.build_network(CONV_ARCH, 1)
-        x = rng.normal(size=(4, 6, 6, 1))
-        for loss, targets, kind in (
-            (nn.mse_loss, rng.normal(size=(4, 3)), "mse"),
-            (nn.cross_entropy_loss, rng.integers(0, 3, size=4), "cross_entropy"),
-        ):
-            value, grads = nn.value_and_grads(net, x, lambda out: loss(out, targets))
-            ref_value, ref_grads = nn.loss_and_grads(net, Batch(x, targets), kind)
-            assert value == ref_value
-            assert len(grads) == len(ref_grads)
-            for g, r in zip(grads, ref_grads):
-                assert g.tobytes() == r.tobytes()
 
     # dense first, conv first, and a parameterless layer in front of the first
     # parameter layer
@@ -267,12 +242,12 @@ class TestBackward:
         net = small_net(2, layers, input_shape)
         x = rng.normal(size=(5,) + input_shape)
         targets = rng.normal(size=(5,) + net.output_shape)
-        value, grads = nn.value_and_grads(net, x, lambda out: nn.mse_loss(out, targets))
+        value, grads = nn.value_and_grads(net, x, mse(targets))
         y, ctxs = x, []
         for layer in net.layers:
             y, ctx = layer.apply(y)
             ctxs.append(ctx)
-        ref_value, g = nn.mse_loss(y, targets)
+        ref_value, g = mse(targets)(y)
         ref_grads = []
         for layer, ctx in zip(net.layers[::-1], ctxs[::-1]):
             g, layer_grads = layer.grads(ctx, g)  # every input gradient taken
@@ -305,9 +280,9 @@ class TestBackward:
             {"kind": "dense", "units": 2},
         ]}
         net = nn.build_network(arch, 5)
-        batch = Batch(rng.normal(size=(3, 5, 5, 2)), rng.normal(size=(3, 2)))
-        assert_gradients_close(nn.backward(net, batch, "mse"),
-                               numerical_gradients(net, batch, "mse"))
+        x, loss = rng.normal(size=(3, 5, 5, 2)), mse(rng.normal(size=(3, 2)))
+        assert_gradients_close(nn.value_and_grads(net, x, loss)[1],
+                               numerical_gradients(net, x, loss))
 
 
 class TestConvPoolOracle:
@@ -402,8 +377,8 @@ class TestPrebuiltCols:
         assert all(a is b for a, b in zip(patched.layers[1:], net.layers[1:], strict=True))
         assert bits_equal(nn.forward(patched, probe.inputs), nn.forward(net, x))
         target = rng.normal(size=(5, 2))
-        a = nn.value_and_grads(net, x, lambda out: nn.mse_loss(out, target))
-        b = nn.value_and_grads(patched, probe.inputs, lambda out: nn.mse_loss(out, target))
+        a = nn.value_and_grads(net, x, mse(target))
+        b = nn.value_and_grads(patched, probe.inputs, mse(target))
         assert a[0] == b[0]
         assert all(bits_equal(gb.reshape(ga.shape), ga) for ga, gb in zip(a[1], b[1]))
 
@@ -452,16 +427,14 @@ class TestSgd:
 
     def test_descent_on_fixed_batch(self, rng):
         net = small_net(seed=2)
-        batch = Batch(rng.normal(size=(16, 6)), rng.integers(0, 3, size=16))
-        before, grads = nn.loss_and_grads(net, batch, "cross_entropy")
-        after, _ = nn.loss_and_grads(nn.sgd_step(net, grads, 0.05), batch,
-                                     "cross_entropy")
+        x, loss = rng.normal(size=(16, 6)), cross_entropy(rng.integers(0, 3, size=16))
+        before, grads = nn.value_and_grads(net, x, loss)
+        after, _ = nn.value_and_grads(nn.sgd_step(net, grads, 0.05), x, loss)
         assert after < before
 
     def test_nonpositive_lr(self):
         net = small_net()
-        grads = nn.backward(net, Batch(np.zeros((1, 6)), np.array([0])),
-                            "cross_entropy")
+        _, grads = nn.value_and_grads(net, np.zeros((1, 6)), cross_entropy(np.array([0])))
         for lr in (0.0, float("nan")):
             with pytest.raises(ValueError, match="positive"):
                 nn.sgd_step(net, grads, lr)
@@ -507,20 +480,19 @@ class TestFlatParams:
 class TestAccuracy:
     def test_all_correct(self):
         net = Network([Dense(np.eye(3), np.zeros(3))], (3,))
-        ds = Batch(np.eye(3), np.array([0, 1, 2]))
+        ds = ProbeSet(np.eye(3), np.array([0, 1, 2]))
         assert nn.accuracy(net, ds) == 1.0
 
     def test_constant_outputs_tie_break(self):
         # constant equal outputs: argmax picks class 0 everywhere
         net = Network([Dense(np.zeros((2, 3)), np.zeros(3))], (2,))
-        ds = Batch(np.ones((4, 2)), np.array([0, 0, 1, 2]))
+        ds = ProbeSet(np.ones((4, 2)), np.array([0, 0, 1, 2]))
         assert nn.accuracy(net, ds) == pytest.approx(0.5)
 
     def test_empty_dataset(self):
         net = small_net()
         with pytest.raises(ValueError):
-            nn.accuracy(net, Batch(np.zeros((1, 6)), np.array([0])).__class__(
-                np.zeros((1, 6))))
+            nn.accuracy(net, ProbeSet(np.zeros((1, 6))))
 
     def test_trained_blobs_above_90(self):
         from devolve import datasets
@@ -529,7 +501,7 @@ class TestAccuracy:
             {"kind": "dense", "units": 16}, {"kind": "relu"},
             {"kind": "dense", "units": 2}, {"kind": "softmax"}]}, 0)
         for _ in range(60):
-            grads = nn.backward(net, Batch(ds.inputs, ds.labels), "cross_entropy")
+            _, grads = nn.value_and_grads(net, ds.inputs, cross_entropy(ds.labels))
             net = nn.sgd_step(net, grads, 0.5)
         assert nn.accuracy(net, ds) > 0.9
 

@@ -10,7 +10,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from devolve import nn
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
@@ -39,3 +42,23 @@ def test_one_round_of_each_workload_passes(name, tmp_path):
     assert proc.returncode == 0, proc.stderr[-2000:]
     record = json.loads(proc.stdout.splitlines()[-1])
     assert record["error"] is None and record["failed"] == 0, record["error"]
+
+
+@pytest.mark.parametrize("arch,input_shape", [
+    ([{"kind": "dense", "units": 5}, {"kind": "leaky_relu"}], (6,)),
+    ([{"kind": "conv2d", "filters": 2}, {"kind": "max_pool"}, {"kind": "flatten"}], (4, 4, 1)),
+])
+def test_backward_is_value_and_grads(arch, input_shape):
+    """`nn.Batch` and `nn.backward` are kept only for the benchmark's
+    `workloads.train_teacher`: they give the bits of the one gradient entry
+    point, for cross-entropy only."""
+    layers = arch + [{"kind": "dense", "units": 3}, {"kind": "softmax"}]
+    net = nn.build_network({"input_shape": list(input_shape), "layers": layers}, 4)
+    rng = np.random.default_rng(8)
+    x, y = rng.normal(size=(5,) + input_shape), rng.integers(0, 3, size=5)
+    grads = nn.backward(net, nn.Batch(x, y), "cross_entropy")
+    _, ref = nn.value_and_grads(net, x, lambda out: nn.cross_entropy_loss(out, y))
+    assert [g.tobytes() for g in grads] == [r.tobytes() for r in ref]
+    for kind in ("mse", "cross-entropy", ""):
+        with pytest.raises(ValueError, match="loss kind"):
+            nn.backward(net, nn.Batch(x, y), kind)

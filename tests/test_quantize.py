@@ -11,7 +11,7 @@ from devolve.quantize import (Density, QuantizationSpec, build_spec,
                               quantization_error, quantize, quantize_network,
                               solve_levels, uniform_density, uniform_levels)
 
-from helpers import bimodal_density, sampled_density, tent_density
+from helpers import bimodal_density, cross_entropy, sampled_density, tent_density
 from oracles import (ExactDensityIntegrals, brute_force_three_levels,
                      brute_force_two_bit, density_nodes_loop, grid_dp_error,
                      simpson_error)
@@ -588,8 +588,8 @@ def test_ninety_percent_sparse_four_bit_optimal_delta():
         order = rng.permutation(ds.size)
         for lo in range(0, ds.size, 64):
             idx = order[lo:lo + 64]
-            batch = nn.Batch(ds.inputs[idx], ds.labels[idx])
-            net = nn.sgd_step(net, nn.backward(net, batch, "cross_entropy"), 0.3)
+            _, grads = nn.value_and_grads(net, ds.inputs[idx], cross_entropy(ds.labels[idx]))
+            net = nn.sgd_step(net, grads, 0.3)
     probe = datasets.subset(ds, 512, seed=6)
     cfg = evolution.EvolutionConfig(trials_per_cycle=40, step_fraction=0.05,
                                     target_sparsity=0.9, retrain_epochs=20,

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from devolve import nn, sparsity
-from devolve.nn import Batch, Dense, Network
+from devolve.nn import Dense, Network
 from devolve.sparsity import (CandidateSet, SparsityMask, apply_mask, merge,
                               prunable_indices, random_mask)
-from helpers import LAYOUT_KINDS, layout_net, layout_positions
+from helpers import LAYOUT_KINDS, layout_net, layout_positions, mse
 
 
 def two_layer_net(seed=0):
@@ -169,9 +169,9 @@ class TestMaskedRetraining:
         mask = merge(SparsityMask.empty(net), CandidateSet(0, [0, 6, 11, 19]))
         mask = merge(mask, CandidateSet(2, [1, 5]))
         student = apply_mask(net, mask)
-        batch = Batch(rng.normal(size=(8, 4)), rng.normal(size=(8, 2)))
+        x, loss = rng.normal(size=(8, 4)), mse(rng.normal(size=(8, 2)))
         for _ in range(5):
-            grads = nn.backward(student, batch, "mse")
+            _, grads = nn.value_and_grads(student, x, loss)
             student = apply_mask(nn.sgd_step(student, grads, 0.1), mask)
         assert (student.layers[0].weights.reshape(-1)[[0, 6, 11, 19]] == 0.0).all()
         assert (student.layers[2].weights.reshape(-1)[[1, 5]] == 0.0).all()
